@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, finite_array
 from .linalg import (
     SQRT3,
     antipode_state,
@@ -201,6 +201,7 @@ def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> B
     than ``atol``.
     """
     states = basis.states
+    finite_array(np.abs(states), f"basis {basis.label!r} amplitudes")
     gram = states @ states.conj().T
     deviation = np.abs(gram - np.eye(4))
     worst = np.unravel_index(int(np.argmax(deviation)), deviation.shape)

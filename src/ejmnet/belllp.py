@@ -22,7 +22,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .bases import TwoQubitBasis, ejm_basis
-from .errors import ValidationError
+from .errors import ValidationError, finite_array
 from .network import joint_distribution_naive, open_line
 
 LOCAL = "LOCAL"
@@ -79,7 +79,7 @@ def _vertex_matrix() -> sparse.csc_matrix:
 
 
 def _validated_target(target) -> np.ndarray:
-    p = np.asarray(target, dtype=float)
+    p = finite_array(target, "target")
     if p.shape != (4, 4, 4, 4):
         raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
     if float(p.min()) < -1e-12:

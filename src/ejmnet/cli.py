@@ -3,7 +3,8 @@
 All output is deterministic for a fixed configuration and seed; JSON is
 emitted with sorted keys and CSV with a fixed column order, so identical
 invocations are byte-identical.  Exit codes: 0 success, 1 validation
-failure, 2 capacity exceeded, 64 usage error.
+failure or unreadable input file, 2 capacity exceeded, 64 usage error
+(unknown subcommand or flag, or an unparseable or out-of-range flag value).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +55,17 @@ from .network import (
 )
 
 _OBJECTIVES = {"all-equal": MAX_ALL_EQUAL, "l1": MIN_L1, "linf": MIN_LINF}
+
+
+class UsageError(ValueError):
+    """A flag value the command cannot parse or use; exits 64."""
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(args, text: str):
@@ -102,11 +115,14 @@ def _maybe_dyadic(p: float, log2den: int):
 def _parse_event_flag(raw: str, n: int):
     if raw == "all-equal":
         return "all-equal"
-    if raw.startswith("prefix"):
-        _, _, count = raw.partition(":")
-        return ("prefix-equal", int(count) if count else n)
-    if raw.startswith("tuple="):
-        return tuple(int(a) for a in raw.removeprefix("tuple=").split(","))
+    try:
+        if raw.startswith("prefix"):
+            _, _, count = raw.partition(":")
+            return ("prefix-equal", int(count) if count else n)
+        if raw.startswith("tuple="):
+            return tuple(int(a) for a in raw.removeprefix("tuple=").split(","))
+    except ValueError as exc:
+        raise UsageError(f"--event {raw!r}: {exc}") from exc
     raise UnknownEventError(f"unknown event {raw!r}; use all-equal, prefix:K or tuple=a,b,...")
 
 
@@ -120,7 +136,7 @@ def _cmd_validate(args) -> int:
     names = list(BASIS_NAMES) if args.basis == "all" else [args.basis]
     entries = [(name, basis_by_name(name)) for name in names]
     if args.basis_file:
-        payload = json.loads(Path(args.basis_file).read_text(encoding="utf-8"))
+        payload = _read_json(args.basis_file)
         entries.append((f"file:{args.basis_file}", basis_from_json_dict(payload)))
     for name, basis in entries:
         try:
@@ -243,7 +259,12 @@ def _cmd_qmodel(args) -> int:
     if args.q is not None:
         qs = [args.q]
     else:
-        lo, hi, step = (float(x) for x in args.scan.split(":"))
+        try:
+            lo, hi, step = (float(x) for x in args.scan.split(":"))
+        except ValueError as exc:
+            raise UsageError(f"--scan {args.scan!r} is not LO:HI:STEP") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and lo <= hi):
+            raise UsageError(f"--scan {args.scan!r} needs finite LO <= HI and STEP > 0")
         count = int(round((hi - lo) / step))
         qs = [lo + i * step for i in range(count + 1)]
     rows = []
@@ -326,6 +347,10 @@ def _cmd_search(args) -> int:
             "witness_all_equal": recheck,
         }
     else:
+        if args.steps < 0 or not 0.0 < args.cooling <= 1.0:
+            raise UsageError(
+                f"--steps must be >= 0 and --cooling in (0, 1], got {args.steps} and {args.cooling}"
+            )
         schedule = AnnealSchedule(steps=args.steps, cooling=args.cooling)
         result = anneal_search(
             args.cardinality,
@@ -351,7 +376,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_bell_check(args) -> int:
     if args.target_file:
-        target = np.asarray(json.loads(Path(args.target_file).read_text(encoding="utf-8")))
+        target = _read_json(args.target_file)
     elif args.target == "ejm-line":
         target = belllp.line_conditional_target()
     elif args.target == "uniform":
@@ -493,6 +518,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 64
     try:
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 64
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return 2

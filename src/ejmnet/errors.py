@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness gate."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -16,6 +18,21 @@ class ValidationError(ValueError):
         super().__init__(message)
         self.residual = residual
         self.detail = detail
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float array; ValidationError on any NaN or infinity.
+
+    Every range check compares against NaN as false, so validators call this
+    before checking signs or sums.
+    """
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a numeric array: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite")
+    return arr
 
 
 class NonDyadicError(ValidationError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError, finite_array
 from .network import (
     POLYGON,
     JointDistribution,
@@ -48,7 +48,7 @@ class HiddenSource:
     def __post_init__(self):
         if self.cardinality < 1:
             raise DomainError("source cardinality must be at least 1")
-        w = np.array(self.weights, dtype=float)
+        w = finite_array(self.weights, "source weights")
         if w.shape != (self.cardinality,):
             raise DomainError(
                 f"weights shape {w.shape} does not match cardinality {self.cardinality}"
@@ -82,7 +82,7 @@ class ResponseTable:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)
+        t = finite_array(self.table, "response table")
         if t.ndim != 3 or t.shape[2] != 4:
             raise DomainError(f"response table must have shape (cl, cr, 4), got {t.shape}")
         if float(t.min()) < -_WEIGHT_ATOL:
@@ -141,9 +141,7 @@ class RingLocalModel:
 
     def party_sources(self, i: int) -> tuple[int, int]:
         """Indices of the (left, right) sources read by party ``i``."""
-        if self.kind == POLYGON:
-            return (i - 1) % self.n_parties, i
-        return i, i + 1
+        return _party_sources(self.kind, self.n_parties, i)
 
     @property
     def topology(self) -> NetworkTopology:
@@ -163,35 +161,45 @@ def evaluate_model(model: RingLocalModel) -> JointDistribution:
         raise CapacityError(
             f"hidden-configuration count {total} exceeds {MAX_HIDDEN_CONFIGURATIONS}"
         )
-    probs = _model_table(model)
-    return JointDistribution(model.topology, "local-model", probs)
+    probs = _contract(
+        model.kind, [r.table for r in model.responses], [s.weights for s in model.sources]
+    )
+    return JointDistribution(model.topology, "local-model", probs.reshape((4,) * model.n_parties))
 
 
-def _model_table(model: RingLocalModel) -> np.ndarray:
-    n = model.n_parties
-    if model.kind == POLYGON:
-        # Fold source i into party i's right slot; trace closes the ring.
-        gs = [
-            model.responses[i].table * model.sources[i].weights[None, :, None]
-            for i in range(n)
-        ]
-        chain = gs[0]  # axes: (lambda_{n-1}, lambda_0, out_0)
-        for i in range(1, n):
-            chain = np.tensordot(chain, gs[i], axes=(1, 0))
-            chain = np.moveaxis(chain, -2, 1)  # keep the open hidden index at axis 1
-        return np.trace(chain, axis1=0, axis2=1)
-    # Line: fold source i+1 into party i's right slot, source 0 into party
-    # 0's left slot, then sum out both boundaries.
-    gs = [
-        model.responses[i].table * model.sources[i + 1].weights[None, :, None]
-        for i in range(n)
-    ]
-    gs[0] = gs[0] * model.sources[0].weights[:, None, None]
-    chain = gs[0].sum(axis=0)  # axes: (lambda_1, out_0)
-    for i in range(1, n):
-        chain = np.tensordot(chain, gs[i], axes=(0, 0))
-        chain = np.moveaxis(chain, -2, 0)
-    return chain.sum(axis=0)
+def _party_sources(kind: str, n_parties: int, i: int) -> tuple[int, int]:
+    if kind == POLYGON:
+        return (i - 1) % n_parties, i
+    return i, i + 1
+
+
+def _contract(kind: str, tables, weights) -> np.ndarray:
+    """Outcome table of a chain or ring model, flattened to shape (..., 4**n).
+
+    ``tables[i]`` is party i's response table, shape (..., cl, cr, 4), and
+    ``weights[s]`` source s's weights, shape (..., c_s); leading axes
+    broadcast.  Each party's right source is folded into its table, parties
+    are chained by matrix products over their shared source, and the ends
+    are closed by a trace on a ring or by summing both boundary sources on a
+    line.
+    """
+    n = len(tables)
+    chain = None  # axes (..., first source, outcomes so far, open source)
+    for i, table in enumerate(tables):
+        right = weights[_party_sources(kind, n, i)[1]]
+        block = np.swapaxes(table, -1, -2) * right[..., None, None, :]  # (..., cl, 4, cr)
+        if chain is None:
+            chain = block
+            continue
+        first, cl, cr = chain.shape[-3], block.shape[-3], block.shape[-1]
+        rows = chain.reshape(chain.shape[:-3] + (-1, cl))
+        step = rows @ block.reshape(block.shape[:-3] + (cl, -1))
+        chain = step.reshape(step.shape[:-2] + (first, -1, cr))
+    if kind == POLYGON:
+        # A plain left-to-right sum keeps one rounding order at every
+        # cardinality; numpy's reductions turn pairwise from 8 terms on.
+        return sum(chain[..., k, :, k] for k in range(chain.shape[-1]))
+    return (chain * weights[0][..., :, None, None]).sum(axis=(-3, -1))
 
 
 def sample_model(model: RingLocalModel, shots: int, seed: int = 42) -> JointDistribution:
@@ -361,14 +369,13 @@ def _check_objective(objective: str, target: JointDistribution | None, n_parties
             )
 
 
-def _objective_value(objective: str, table: np.ndarray, target: np.ndarray | None) -> float:
-    n = table.ndim
+def _objective_value(objective: str, table: np.ndarray, target: np.ndarray | None) -> np.ndarray:
+    """Objective of outcome tables flattened to (..., 4**n); ``target`` is flat too."""
     if objective == MAX_ALL_EQUAL:
-        return float(sum(table[(k,) * n] for k in range(4)))
-    diff = table - target
-    if objective == MIN_L1:
-        return float(np.abs(diff).sum())
-    return float(np.abs(diff).max())
+        # The all-equal entries k*(4**n - 1)/3, k = 0..3, are evenly spaced.
+        return table[..., :: (table.shape[-1] - 1) // 3].sum(axis=-1)
+    diff = np.abs(table - target)
+    return diff.sum(axis=-1) if objective == MIN_L1 else diff.max(axis=-1)
 
 
 def exhaustive_search(
@@ -401,9 +408,8 @@ def exhaustive_search(
 
     combos = np.array(list(itertools.product(range(c), repeat=3)))
     pair_idx = [
-        combos[:, 2] * c + combos[:, 0],
-        combos[:, 0] * c + combos[:, 1],
-        combos[:, 1] * c + combos[:, 2],
+        combos[:, left] * c + combos[:, right]
+        for left, right in (_party_sources(POLYGON, 3, i) for i in range(3))
     ]
     n_combo = len(combos)
     onehots = [
@@ -462,13 +468,10 @@ def exhaustive_search(
 def _refine_binary_weights(objective, tables, target):
     """Grid-scan P(value=1) of each binary source in 1/64 steps."""
     combos = np.array(list(itertools.product((0, 1), repeat=3)))
-    outcome_idx = np.zeros(8, dtype=int)
-    for ci, (l0, l1, l2) in enumerate(combos):
-        a = tables[0][l2, l0]
-        b = tables[1][l0, l1]
-        cc = tables[2][l1, l2]
-        outcome_idx[ci] = (a * 4 + b) * 4 + cc
-    combo_tables = np.eye(64)[outcome_idx]  # (8, 64)
+    onehots = np.eye(2)[combos]  # (8, source, value)
+    combo_tables = _contract(
+        POLYGON, [np.eye(4)[t] for t in tables], [onehots[:, s] for s in range(3)]
+    )  # (8, 64)
 
     grid = np.arange(65) / 64.0
     g0, g1, g2 = np.meshgrid(grid, grid, grid, indexing="ij")
@@ -479,17 +482,10 @@ def _refine_binary_weights(objective, tables, target):
         combo_probs *= np.where(on == 1, w[:, s : s + 1], 1.0 - w[:, s : s + 1])
     table_probs = combo_probs @ combo_tables  # (grid, 64)
 
-    if objective == MAX_ALL_EQUAL:
-        score = table_probs[:, [0, 21, 42, 63]].sum(axis=1)
-        idx = int(np.argmax(score))
-        value = float(score[idx])
-    else:
-        diff = table_probs - np.asarray(target.probs).reshape(1, 64)
-        dist = np.abs(diff).sum(axis=1) if objective == MIN_L1 else np.abs(diff).max(axis=1)
-        idx = int(np.argmin(dist))
-        value = float(dist[idx])
-    best_w = w[idx]
-    return value, [np.array([1.0 - wi, wi]) for wi in best_w]
+    target_flat = None if target is None else target.probs.reshape(-1)
+    score = _objective_value(objective, table_probs, target_flat)
+    idx = int(np.argmax(score) if objective == MAX_ALL_EQUAL else np.argmin(score))
+    return float(score[idx]), [np.array([1.0 - wi, wi]) for wi in w[idx]]
 
 
 def anneal_search(
@@ -515,7 +511,7 @@ def anneal_search(
     if top.kind != POLYGON or top.n_parties > 5:
         raise DomainError("annealing runs on rings with at most 5 parties")
     _check_objective(objective, target, top.n_parties)
-    target_probs = None if target is None else np.asarray(target.probs, dtype=float)
+    target_probs = None if target is None else target.probs.reshape(-1)
     maximize = objective == MAX_ALL_EQUAL
 
     n = top.n_parties
@@ -525,16 +521,9 @@ def anneal_search(
     weights = [np.full(c, 1.0 / c) for _ in range(n)]
     eye4 = np.eye(4)
 
-    def table_of(tabs, wts):
-        gs = [eye4[tabs[i]] * wts[i][None, :, None] for i in range(n)]
-        chain = gs[0]
-        for i in range(1, n):
-            chain = np.tensordot(chain, gs[i], axes=(1, 0))
-            chain = np.moveaxis(chain, -2, 1)
-        return np.trace(chain, axis1=0, axis2=1)
-
     def energy(tabs, wts):
-        value = _objective_value(objective, table_of(tabs, wts), target_probs)
+        table = _contract(POLYGON, [eye4[t] for t in tabs], wts)
+        value = float(_objective_value(objective, table, target_probs))
         return (-value if maximize else value), value
 
     current_e, current_v = energy(tables, weights)
@@ -583,7 +572,7 @@ def anneal_search(
     )
     # Re-evaluate through the public path so the reported value is self-certifying.
     final_value = _objective_value(
-        objective, evaluate_model(witness).probs, target_probs
+        objective, evaluate_model(witness).probs.reshape(-1), target_probs
     )
     return AnnealResult(objective, float(final_value), witness, seed, schedule, tuple(trace))
 

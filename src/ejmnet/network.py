@@ -30,6 +30,7 @@ from .errors import (
     NonDyadicError,
     UnknownEventError,
     ValidationError,
+    finite_array,
 )
 from .linalg import SQRT3, singlet, tensor
 
@@ -93,7 +94,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        arr = finite_array(self.probs, "probabilities")
         if arr.shape != (4,) * self.topology.n_parties:
             raise DomainError(
                 f"probability table shape {arr.shape} does not match "

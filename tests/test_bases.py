@@ -127,6 +127,12 @@ class TestValidateBasis:
         assert abs(err.value.residual - 0.0201) < 1e-12
         assert err.value.detail["worst_pair"] == (2, 2)
 
+    def test_non_finite_basis_rejected(self, ejm):
+        states = ejm.states.copy()
+        states[1, 2] = complex(np.nan, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            validate_basis(TwoQubitBasis("CUSTOM", states))
+
     def test_bloch_schmidt_consistency_identity(self):
         for name in ("ejm", "ejmz", "mp", "bsm"):
             diag = validate_basis(basis_by_name(name))

@@ -74,6 +74,13 @@ class TestMembership:
         with pytest.raises(ValidationError):
             bell_lp_check(np.zeros((2, 2, 2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        target = uniform_target()
+        target[0, 0, 0, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            bell_lp_check(target)
+
 
 class TestVertexMatrix:
     def test_column_structure(self):

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from ejmnet import basis_to_json_dict, ejm_basis
 from ejmnet.cli import main
 
@@ -162,6 +164,28 @@ class TestVerifyAllCommand:
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["qmodel", "--scan", "0:1:0"], 64),
+            (["qmodel", "--scan", "0:1"], 64),
+            (["line", "--n", "4", "--event", "prefix:x"], 64),
+            (["search", "--method", "anneal", "--steps", "-5"], 64),
+            (["search", "--method", "anneal", "--cooling", "nan"], 64),
+            (["bell-check", "--target-file", "{missing}"], 1),
+            (["validate", "--basis-file", "{missing}"], 1),
+            (["bell-check", "--target-file", "{nan}"], 1),
+        ],
+    )
+    def test_bad_input_exit_code(self, capsys, tmp_path, argv, code):
+        nan = tmp_path / "nan.json"
+        nan.write_text("[[[[NaN]]]]", encoding="utf-8")
+        files = {"missing": tmp_path / "missing.json", "nan": nan}
+        argv = [a.format(**files) for a in argv]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == "" and "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ejmnet import (
     MAX_ALL_EQUAL,
@@ -44,6 +46,35 @@ FLAG_AUDIT_EXPECTED = [
 
 def all_equal_probability(dist):
     return float(sum(dist.probs[(k,) * dist.n_parties] for k in range(4)))
+
+
+@st.composite
+def random_models(draw):
+    """Line or ring with 2..5 parties, source cardinalities 1..3 and
+    stochastic responses."""
+    kind = draw(st.sampled_from(["line", "polygon"]))
+    n = draw(st.integers(2, 5))
+    n_sources = n + 1 if kind == "line" else n
+    cards = draw(st.lists(st.integers(1, 3), min_size=n_sources, max_size=n_sources))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = tuple(HiddenSource(c, rng.dirichlet(np.ones(c))) for c in cards)
+    reads = [((i - 1) % n, i) if kind == "polygon" else (i, i + 1) for i in range(n)]
+    responses = tuple(
+        ResponseTable(i, rng.dirichlet(np.ones(4), size=(cards[l], cards[r])))
+        for i, (l, r) in enumerate(reads)
+    )
+    return RingLocalModel(kind, n, sources, responses), reads
+
+
+def brute_force_table(model, reads):
+    """Explicit sum over every hidden configuration."""
+    probs = np.zeros((4,) * model.n_parties)
+    for hidden in itertools.product(*(range(s.cardinality) for s in model.sources)):
+        joint = math.prod(s.weights[v] for s, v in zip(model.sources, hidden))
+        for resp, (l, r) in zip(model.responses, reads):
+            joint = np.multiply.outer(joint, resp.table[hidden[l], hidden[r]])
+        probs += joint
+    return probs
 
 
 class TestQModel:
@@ -146,6 +177,13 @@ class TestEvaluateAndSample:
         dist = evaluate_model(model)
         assert abs(coincidence_stats(dist).p_pair_equal - 1.0) < 1e-12
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(random_models())
+    def test_matches_brute_force_sum(self, case):
+        model, reads = case
+        expected = brute_force_table(model, reads)
+        assert np.max(np.abs(evaluate_model(model).probs - expected)) < 1e-14
+
     def test_capacity_bound(self):
         # 500**3 hidden configurations exceed the documented 1e8 budget.
         sources = tuple(HiddenSource.uniform(500) for _ in range(3))
@@ -185,6 +223,16 @@ class TestModelValidation:
     def test_response_rows_must_normalise(self):
         with pytest.raises(ValidationError):
             ResponseTable(0, np.full((2, 2, 4), 0.3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_source_weights_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            HiddenSource(2, np.array([bad, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_response_rows_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ResponseTable(0, np.full((2, 2, 4), bad))
 
     def test_arity_mismatch(self):
         source = HiddenSource.uniform(2)

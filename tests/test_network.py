@@ -261,6 +261,11 @@ class TestJointDistributionType:
         with pytest.raises(ValidationError):
             JointDistribution(polygon(2), "x", np.full((4, 4), 1 / 15.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            JointDistribution(polygon(2), "x", np.full((4, 4), bad))
+
     def test_clamps_tiny_negative(self):
         probs = np.full((4, 4), 1 / 16.0)
         probs[0, 0] = -1e-13
