@@ -4,9 +4,11 @@ The scenario has two parties with 4 inputs and 4 outputs each, the one
 obtained from a four-party open singlet chain when the end parties' random
 outcomes are read as inputs of the middle parties.  The local set is the
 convex hull of the 256 x 256 products of deterministic single-party
-strategies.  Membership is decided by a feasibility LP over the vertex
-weights; non-membership is certified by a separating functional found with
-a second LP and re-checked against every vertex.
+strategies.  One LP over a working set of vertices, grown by column
+generation with an exact best-response oracle, decides both verdicts: a
+positive optimum certifies NONLOCAL with a separating functional, and
+otherwise the LP duals are convex weights, LOCAL only if the full vertex
+matrix reconstructs the target from them.
 
 Behaviours are arrays of shape (4, 4, 4, 4) indexed [x, y, a, b] holding
 p(a, b | x, y); each (x, y) slice must be a probability distribution.
@@ -40,7 +42,8 @@ class LocalityCertificate:
     LOCAL certificates carry convex weights over the 65536 deterministic
     strategy pairs; NONLOCAL ones carry a separating functional together
     with its maximum over the local vertices (the classical bound) and its
-    value on the target.
+    value on the target.  ``columns`` counts the vertices the master LP
+    ended with and ``rounds`` its solves.
     """
 
     verdict: str
@@ -51,6 +54,8 @@ class LocalityCertificate:
     target_value: float | None = None
     margin: float | None = None
     solver_status: str = ""
+    columns: int = 0
+    rounds: int = 0
 
 
 @lru_cache(maxsize=1)
@@ -69,13 +74,8 @@ def _vertex_matrix() -> sparse.csc_matrix:
     f = _strategies()
     base = (np.arange(4)[:, None] * 4 + np.arange(4)[None, :]) * 16  # (x, y)
     rows = base[None, None, :, :] + f[:, None, :, None] * 4 + f[None, :, None, :]
-    cols = np.broadcast_to(
-        np.arange(65536).reshape(256, 256)[:, :, None, None], rows.shape
-    )
-    data = np.ones(rows.size)
-    return sparse.csc_matrix(
-        (data, (rows.ravel(), cols.ravel())), shape=(256, 65536)
-    )
+    cols = np.broadcast_to(np.arange(65536).reshape(256, 256, 1, 1), rows.shape)
+    return sparse.csc_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(256, 65536))
 
 
 def _validated_target(target) -> np.ndarray:
@@ -95,58 +95,68 @@ def _validated_target(target) -> np.ndarray:
     return p.ravel()
 
 
+def _pair_values(functional: np.ndarray) -> np.ndarray:
+    """f . v on every vertex: [i, j] = sum_{x,y} f[x, y, S_i(x), S_j(y)], shape (256, 256)."""
+    onehot = np.eye(4)[_strategies()]  # [i, x, a]
+    return np.einsum(
+        "ixa,xyab,jyb->ij", onehot, functional.reshape(4, 4, 4, 4), onehot, optimize=True
+    )
+
+
 def bell_lp_check(target) -> LocalityCertificate:
     """Decide membership of a behaviour in the local polytope.
 
-    Returns a LOCAL certificate with reconstructing weights, a NONLOCAL
-    certificate with a separating functional, or INCONCLUSIVE when the
-    solver fails or the separation margin is numerically void.
+    The master LP maximises f . p - s over f in [-1, 1]^256 with f . v <= s
+    on the working vertices v (the L1 distance from p to their hull); each
+    round adds every pair that is either party's best response to f and
+    beats s.  INCONCLUSIVE flags a solver failure or a void margin or fit.
     """
     p = _validated_target(target)
-    vertices = _vertex_matrix()
-
-    a_eq = sparse.vstack([vertices, sparse.csr_matrix(np.ones((1, 65536)))])
-    b_eq = np.concatenate([p, [1.0]])
-    feas = linprog(
-        np.zeros(65536), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if feas.status == 0:
-        weights = np.maximum(feas.x, 0.0)
-        residual = float(np.max(np.abs(vertices @ weights - p)))
-        verdict = LOCAL if residual < RECONSTRUCTION_ATOL else INCONCLUSIVE
-        return LocalityCertificate(
-            verdict,
-            weights=weights,
-            reconstruction_residual=residual,
-            solver_status=feas.message,
+    onehot = np.eye(4)[_strategies()]
+    # Round one prices the target itself, and s = -inf admits every best response.
+    functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
+    while True:
+        values = _pair_values(functional)
+        best = np.union1d(
+            np.arange(256) * 256 + values.argmax(axis=1),
+            values.argmax(axis=0) * 256 + np.arange(256),
         )
-    if feas.status != 2:
-        return LocalityCertificate(INCONCLUSIVE, solver_status=feas.message)
-
-    # Infeasible: find a functional maximising (value on target) - (vertex bound),
-    # with the functional box-normalised to [-1, 1].
-    objective = np.concatenate([-p, [1.0]])
-    a_ub = sparse.hstack([vertices.T, -np.ones((65536, 1))])
-    bounds = [(-1, 1)] * 256 + [(None, None)]
-    sep = linprog(
-        objective, A_ub=a_ub, b_ub=np.zeros(65536), bounds=bounds, method="highs"
-    )
-    if sep.status != 0:
-        return LocalityCertificate(INCONCLUSIVE, solver_status=sep.message)
-    functional = sep.x[:256]
-    vertex_values = vertices.T @ functional
-    classical_bound = float(vertex_values.max())
+        fresh = np.setdiff1d(best[values.ravel()[best] > level + SEPARATION_MARGIN], columns)
+        if fresh.size == 0:
+            break
+        columns, rounds = np.concatenate([columns, fresh]), rounds + 1
+        vertices = np.einsum("kxa,kyb->kxyab", onehot[columns // 256], onehot[columns % 256])
+        master = linprog(
+            np.append(-p, 1.0),
+            A_ub=np.hstack([vertices.reshape(-1, 256), -np.ones((columns.size, 1))]),
+            b_ub=np.zeros(columns.size),
+            bounds=[(-1, 1)] * 256 + [(None, None)],
+            method="highs",
+        )
+        if master.status != 0:
+            return LocalityCertificate(
+                INCONCLUSIVE, solver_status=master.message, columns=columns.size, rounds=rounds
+            )
+        functional, level = master.x[:256], master.x[256]
+    run = {"solver_status": master.message, "columns": columns.size, "rounds": rounds}
+    classical_bound = float(values.max())
     target_value = float(functional @ p)
     margin = target_value - classical_bound
-    verdict = NONLOCAL if margin > SEPARATION_MARGIN else INCONCLUSIVE
-    return LocalityCertificate(
-        verdict,
-        functional=functional.reshape(4, 4, 4, 4),
-        classical_bound=classical_bound,
-        target_value=target_value,
-        margin=float(margin),
-        solver_status=sep.message,
-    )
+    if margin > SEPARATION_MARGIN:
+        return LocalityCertificate(
+            NONLOCAL,
+            functional=functional.reshape(4, 4, 4, 4),
+            classical_bound=classical_bound,
+            target_value=target_value,
+            margin=margin,
+            **run,
+        )
+    weights = np.zeros(65536)
+    weights[columns] = np.maximum(-master.ineqlin.marginals, 0.0)
+    weights /= weights.sum()
+    residual = float(np.max(np.abs(_vertex_matrix() @ weights - p)))
+    verdict = LOCAL if residual < RECONSTRUCTION_ATOL else INCONCLUSIVE
+    return LocalityCertificate(verdict, weights=weights, reconstruction_residual=residual, **run)
 
 
 def verify_certificate(certificate: LocalityCertificate, target) -> dict:
@@ -203,15 +213,9 @@ def pr_box_target() -> np.ndarray:
     so the behaviour lies outside the local polytope.
     """
     p = np.zeros((4, 4, 4, 4))
-    for x in range(4):
-        for y in range(4):
-            if x < 2 and y < 2:
-                for a in range(2):
-                    for b in range(2):
-                        if (a ^ b) == (x & y):
-                            p[x, y, a, b] = 0.5
-            else:
-                p[x, y, :2, :2] = 0.25
+    p[:, :, :2, :2] = 0.25
+    x, y, a, b = np.ogrid[:2, :2, :2, :2]
+    p[:2, :2, :2, :2] = 0.5 * ((a ^ b) == (x & y))
     return p
 
 
@@ -221,11 +225,6 @@ def chsh_value(target) -> float:
     Outputs 0 and 1 are mapped to +1 and -1; outputs 2 and 3 do not
     contribute.  Local behaviours satisfy |S| <= 2 on every such block.
     """
-    p = np.asarray(target, dtype=float)
     signs = np.array([1.0, -1.0, 0.0, 0.0])
-    value = 0.0
-    for x in (0, 1):
-        for y in (0, 1):
-            correlator = float(np.einsum("ab,a,b->", p[x, y], signs, signs))
-            value += -correlator if (x, y) == (1, 1) else correlator
-    return value
+    correlators = np.einsum("xyab,a,b->xy", np.asarray(target, dtype=float)[:2, :2], signs, signs)
+    return float(correlators.sum() - 2.0 * correlators[1, 1])

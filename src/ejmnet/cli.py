@@ -56,6 +56,9 @@ from .network import (
 
 _OBJECTIVES = {"all-equal": MAX_ALL_EQUAL, "l1": MIN_L1, "linf": MIN_LINF}
 
+# Largest q grid `qmodel --scan` evaluates (LO:HI:STEP with (HI-LO)/STEP <= 10_000).
+MAX_SCAN_POINTS = 10_001
+
 
 class UsageError(ValueError):
     """A flag value the command cannot parse or use; exits 64."""
@@ -265,8 +268,10 @@ def _cmd_qmodel(args) -> int:
             raise UsageError(f"--scan {args.scan!r} is not LO:HI:STEP") from exc
         if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and lo <= hi):
             raise UsageError(f"--scan {args.scan!r} needs finite LO <= HI and STEP > 0")
-        count = int(round((hi - lo) / step))
-        qs = [lo + i * step for i in range(count + 1)]
+        span = (hi - lo) / step
+        if not span <= MAX_SCAN_POINTS - 1:
+            raise CapacityError(f"--scan {args.scan!r} exceeds {MAX_SCAN_POINTS} grid points")
+        qs = [lo + i * step for i in range(int(round(span)) + 1)]
     rows = []
     for q in qs:
         p = coincidence_stats(evaluate_model(q_model(q))).p_all_equal
@@ -347,11 +352,10 @@ def _cmd_search(args) -> int:
             "witness_all_equal": recheck,
         }
     else:
-        if args.steps < 0 or not 0.0 < args.cooling <= 1.0:
-            raise UsageError(
-                f"--steps must be >= 0 and --cooling in (0, 1], got {args.steps} and {args.cooling}"
-            )
-        schedule = AnnealSchedule(steps=args.steps, cooling=args.cooling)
+        try:
+            schedule = AnnealSchedule(steps=args.steps, cooling=args.cooling)
+        except DomainError as exc:
+            raise UsageError(f"--steps/--cooling: {exc}") from exc
         result = anneal_search(
             args.cardinality,
             objective,

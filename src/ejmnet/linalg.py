@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, finite_array
 
 # Largest tensor product ever materialised (amplitude count 2**MAX_QUBITS).
 MAX_QUBITS = 24
@@ -39,7 +39,7 @@ def tetrahedron_vectors() -> np.ndarray:
 
 
 def _unit_vector(m, atol: float = 1e-9) -> np.ndarray:
-    v = np.asarray(m, dtype=float).reshape(3)
+    v = finite_array(m, "Bloch vector").reshape(3)
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > atol:
         raise DomainError(f"expected a unit Bloch vector, got norm {n}")

@@ -346,6 +346,23 @@ class AnnealSchedule:
     weight_move_probability: float = 0.2
     weight_step: float = 1.0 / 16.0
 
+    def __post_init__(self):
+        # Written so that NaN fails every check.
+        if not self.steps >= 0:
+            raise DomainError(f"steps must be >= 0, got {self.steps}")
+        if not 0.0 < self.initial_temperature < math.inf:
+            raise DomainError(
+                f"initial_temperature must be finite and > 0, got {self.initial_temperature}"
+            )
+        if not 0.0 < self.cooling <= 1.0:
+            raise DomainError(f"cooling must lie in (0, 1], got {self.cooling}")
+        if not 0.0 <= self.weight_move_probability <= 1.0:
+            raise DomainError(
+                f"weight_move_probability must lie in [0, 1], got {self.weight_move_probability}"
+            )
+        if not self.weight_step > 0.0:
+            raise DomainError(f"weight_step must be > 0, got {self.weight_step}")
+
 
 @dataclass(frozen=True)
 class AnnealResult:

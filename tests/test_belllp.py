@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from ejmnet import (
     LOCAL,
@@ -12,7 +16,33 @@ from ejmnet import (
     uniform_target,
     verify_certificate,
 )
-from ejmnet.belllp import _vertex_matrix
+from ejmnet.belllp import _pair_values, _vertex_matrix
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def full_separation_optimum(target) -> float:
+    """max f . p - s over f in [-1, 1]^256 with f . v <= s on all 65536 vertices."""
+    p = np.asarray(target, dtype=float).ravel()
+    result = linprog(
+        np.concatenate([-p, [1.0]]),
+        A_ub=sparse.hstack([_vertex_matrix().T, -np.ones((65536, 1))]),
+        b_ub=np.zeros(65536),
+        bounds=[(-1, 1)] * 256 + [(None, None)],
+        method="highs",
+    )
+    assert result.status == 0
+    return -result.fun
+
+
+def vertex_mixture(rng, k) -> np.ndarray:
+    p = np.zeros((4, 4, 4, 4))
+    for weight in rng.dirichlet(np.ones(k)):
+        left, right = rng.integers(0, 4, size=4), rng.integers(0, 4, size=4)
+        for x in range(4):
+            for y in range(4):
+                p[x, y, left[x], right[y]] += weight
+    return p
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +87,12 @@ class TestMembership:
         assert check["weight_sum_residual"] < 1e-8
         assert check["min_weight"] >= 0.0
 
+    def test_line4_needs_few_columns(self, line4_certificate):
+        certificate, _ = line4_certificate
+        assert 1 <= certificate.rounds
+        assert 0 < certificate.columns < 4096
+        assert np.count_nonzero(certificate.weights) <= certificate.columns
+
     def test_pr_box_is_nonlocal_with_separating_functional(self):
         target = pr_box_target()
         certificate = bell_lp_check(target)
@@ -80,6 +116,43 @@ class TestMembership:
         target[0, 0, 0, 0] = bad
         with pytest.raises(ValidationError, match="finite"):
             bell_lp_check(target)
+
+
+class TestColumnGeneration:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(SEEDS)
+    def test_oracle_matches_vertex_matrix(self, seed):
+        f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=256)
+        expected = (_vertex_matrix().T @ f).reshape(256, 256)
+        assert np.max(np.abs(_pair_values(f) - expected)) < 1e-12
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(SEEDS, st.integers(min_value=1, max_value=8))
+    def test_vertex_mixtures_are_local(self, seed, k):
+        target = vertex_mixture(np.random.default_rng(seed), k)
+        certificate = bell_lp_check(target)
+        assert certificate.verdict == LOCAL
+        check = verify_certificate(certificate, target)
+        assert check["reconstruction_residual"] < 1e-8
+        assert check["weight_sum_residual"] < 1e-8
+        assert check["min_weight"] >= 0.0
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(st.floats(min_value=0.6, max_value=1.0))
+    def test_noisy_pr_box_is_nonlocal(self, v):
+        target = v * pr_box_target() + (1.0 - v) * uniform_target()
+        certificate = bell_lp_check(target)
+        assert certificate.verdict == NONLOCAL
+        check = verify_certificate(certificate, target)
+        assert abs(check["margin"] - certificate.margin) < 1e-12
+        assert check["margin"] > 1e-9
+
+    @pytest.mark.parametrize("v", [1.0, 0.7])
+    def test_margin_is_the_full_lp_optimum(self, v):
+        target = v * pr_box_target() + (1.0 - v) * uniform_target()
+        certificate = bell_lp_check(target)
+        assert certificate.verdict == NONLOCAL
+        assert abs(certificate.margin - full_separation_optimum(target)) < 1e-8
 
 
 class TestVertexMatrix:

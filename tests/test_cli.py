@@ -176,6 +176,9 @@ class TestUsageErrors:
             (["bell-check", "--target-file", "{missing}"], 1),
             (["validate", "--basis-file", "{missing}"], 1),
             (["bell-check", "--target-file", "{nan}"], 1),
+            (["search", "--method", "anneal", "--cooling", "5.0"], 64),
+            (["qmodel", "--scan", "0:1:1e-9"], 2),
+            (["qmodel", "--scan", "0:1:5e-324"], 2),
         ],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, code):

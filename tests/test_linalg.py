@@ -7,6 +7,7 @@ from ejmnet import (
     CapacityError,
     DomainError,
     PAULI,
+    ValidationError,
     antipode_state,
     bloch_to_state,
     partial_bloch,
@@ -78,6 +79,13 @@ class TestBlochToState:
             bloch_to_state((0.5, 0.0, 0.0))
         with pytest.raises(DomainError):
             antipode_state((0.0, 0.0, 1.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            bloch_to_state((bad, 0.0, 0.0))
+        with pytest.raises(ValidationError, match="finite"):
+            antipode_state((0.0, 0.0, bad))
 
 
 class TestAntipode:

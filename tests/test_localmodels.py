@@ -354,3 +354,31 @@ class TestAnnealSearch:
     def test_cardinality_bound(self):
         with pytest.raises(CapacityError):
             anneal_search(5, MAX_ALL_EQUAL)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("steps", -5),
+            ("initial_temperature", 0.0),
+            ("initial_temperature", -0.05),
+            ("initial_temperature", math.inf),
+            ("initial_temperature", math.nan),
+            ("cooling", 0.0),
+            ("cooling", 5.0),
+            ("cooling", math.nan),
+            ("weight_move_probability", -0.1),
+            ("weight_move_probability", 1.5),
+            ("weight_move_probability", math.nan),
+            ("weight_step", 0.0),
+            ("weight_step", -1.0 / 16.0),
+            ("weight_step", math.nan),
+        ],
+    )
+    def test_schedule_rejects_out_of_domain_field(self, field, bad):
+        # Before validation, steps=-5 or cooling=5.0 ran silently to value 0.0.
+        with pytest.raises(DomainError, match=field):
+            AnnealSchedule(**{field: bad})
+
+    def test_schedule_accepts_domain_edges(self):
+        AnnealSchedule(steps=0, cooling=1.0, weight_move_probability=0.0)
+        AnnealSchedule(weight_move_probability=1.0)
