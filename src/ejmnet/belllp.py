@@ -24,7 +24,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .bases import TwoQubitBasis, ejm_basis
-from .errors import ValidationError, finite_array
+from .errors import ValidationError, finite_array, probability_array
 from .network import joint_distribution_naive, open_line
 
 LOCAL = "LOCAL"
@@ -33,6 +33,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 RECONSTRUCTION_ATOL = 1e-8
 SEPARATION_MARGIN = 1e-9
+# How far each (x, y) slice of a target may sum away from 1.
+TARGET_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,23 +80,6 @@ def _vertex_matrix() -> sparse.csc_matrix:
     return sparse.csc_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(256, 65536))
 
 
-def _validated_target(target) -> np.ndarray:
-    p = finite_array(target, "target")
-    if p.shape != (4, 4, 4, 4):
-        raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
-    if float(p.min()) < -1e-12:
-        raise ValidationError("target has negative entries", residual=float(p.min()))
-    p = np.maximum(p, 0.0)
-    sums = p.sum(axis=(2, 3))
-    worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > 1e-9:
-        raise ValidationError(
-            f"target conditionals must sum to 1 per input pair (worst {worst})",
-            residual=worst,
-        )
-    return p.ravel()
-
-
 def _pair_values(functional: np.ndarray) -> np.ndarray:
     """f . v on every vertex: [i, j] = sum_{x,y} f[x, y, S_i(x), S_j(y)], shape (256, 256)."""
     onehot = np.eye(4)[_strategies()]  # [i, x, a]
@@ -111,7 +96,10 @@ def bell_lp_check(target) -> LocalityCertificate:
     round adds every pair that is either party's best response to f and
     beats s.  INCONCLUSIVE flags a solver failure or a void margin or fit.
     """
-    p = _validated_target(target)
+    p = finite_array(target, "target")
+    if p.shape != (4, 4, 4, 4):
+        raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
+    p = probability_array(p, "target conditionals", axis=(2, 3), atol=TARGET_ATOL).ravel()
     onehot = np.eye(4)[_strategies()]
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
@@ -161,7 +149,10 @@ def bell_lp_check(target) -> LocalityCertificate:
 
 def verify_certificate(certificate: LocalityCertificate, target) -> dict:
     """Re-check a certificate by direct evaluation against the target."""
-    p = _validated_target(target)
+    p = finite_array(target, "target")
+    if p.shape != (4, 4, 4, 4):
+        raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
+    p = probability_array(p, "target conditionals", axis=(2, 3), atol=TARGET_ATOL).ravel()
     vertices = _vertex_matrix()
     if certificate.verdict == LOCAL:
         w = certificate.weights

@@ -99,7 +99,7 @@ def _distribution_rows(dist_dict: dict) -> list[dict]:
         rows.append(
             {
                 "outcome": ",".join(str(a) for a in entry["outcome"]),
-                "p": repr(entry["p"]),
+                "p": entry["p"],
                 "dyadic_num": None if dyadic is None else dyadic["num"],
                 "dyadic_log2den": None if dyadic is None else dyadic["log2den"],
             }
@@ -163,22 +163,6 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_triangle(args) -> int:
-    dist = joint_distribution_naive(polygon(3), basis_by_name(args.basis))
-    payload = distribution_to_json_dict(dist)
-    if args.format == "csv":
-        _emit_csv(args, ["outcome", "p", "dyadic_num", "dyadic_log2den"], _distribution_rows(payload))
-    else:
-        _emit_json(
-            args,
-            {
-                "reproduces": "triangle joint-outcome distribution from three singlets",
-                "distribution": payload,
-            },
-        )
-    return 0
-
-
 def _cmd_chain(args) -> int:
     top = open_line(args.n) if args.topology == "line" else polygon(args.n)
     basis = basis_by_name(args.basis)
@@ -200,18 +184,11 @@ def _cmd_chain(args) -> int:
         }
         _emit_json(args, payload)
         return 0
-    dist = joint_distribution_naive(top, basis)
-    payload = distribution_to_json_dict(dist)
+    payload = distribution_to_json_dict(joint_distribution_naive(top, basis))
     if args.format == "csv":
         _emit_csv(args, ["outcome", "p", "dyadic_num", "dyadic_log2den"], _distribution_rows(payload))
     else:
-        _emit_json(
-            args,
-            {
-                "reproduces": "full joint-outcome distribution by direct contraction",
-                "distribution": payload,
-            },
-        )
+        _emit_json(args, {"reproduces": args.reproduces, "distribution": payload})
     return 0
 
 
@@ -227,13 +204,7 @@ def _cmd_table2(args) -> int:
             },
         )
     else:
-        printable = [
-            {**row, "line": repr(row["line"]),
-             "polygon": None if row["polygon"] is None else repr(row["polygon"]),
-             "conditional": None if row["conditional"] is None else repr(row["conditional"])}
-            for row in rows
-        ]
-        _emit_csv(args, fields, printable)
+        _emit_csv(args, fields, rows)
     return 0
 
 
@@ -285,11 +256,7 @@ def _cmd_qmodel(args) -> int:
     if args.audit:
         payload["flag_audit"] = q_model_flag_audit()
     if args.format == "csv":
-        printable = [
-            {"q": repr(r["q"]), "p_all_equal": repr(r["p_all_equal"]), "closed_form": repr(r["closed_form"])}
-            for r in rows
-        ]
-        _emit_csv(args, ["q", "p_all_equal", "closed_form"], printable)
+        _emit_csv(args, ["q", "p_all_equal", "closed_form"], rows)
     else:
         _emit_json(args, payload)
     return 0
@@ -446,7 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="full 64-entry outcome table of the three-party ring")
     add_common(p, fmt="json")
-    p.set_defaults(func=_cmd_triangle)
+    p.set_defaults(
+        func=_cmd_chain,
+        topology="polygon",
+        n=3,
+        event=None,
+        reproduces="triangle joint-outcome distribution from three singlets",
+    )
 
     for name, topo in (("line", "line"), ("polygon", "polygon")):
         p = sub.add_parser(name, help=f"distribution or event probability on a {name}")
@@ -457,7 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="all-equal, prefix:K, or tuple=a,b,... (omit for the full table, n <= 8)",
         )
         add_common(p, fmt="json")
-        p.set_defaults(func=_cmd_chain, topology=topo)
+        p.set_defaults(
+            func=_cmd_chain,
+            topology=topo,
+            reproduces="full joint-outcome distribution by direct contraction",
+        )
 
     p = sub.add_parser("table2", help="all-equal probabilities for chains and rings")
     p.add_argument("--max-n", type=int, default=10)

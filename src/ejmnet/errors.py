@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the finiteness gate."""
+"""Exception types shared across the package, and the input gates every validator uses."""
 
 import numpy as np
+
+# Entries this far below zero are rounding noise and get clamped; anything
+# lower signals a contraction bug and is a hard error.
+NEGATIVE_CLAMP = -1e-12
 
 
 class DomainError(ValueError):
@@ -32,6 +36,30 @@ def finite_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a numeric array: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")
+    return arr
+
+
+def probability_array(values, what: str, *, axis=None, atol: float) -> np.ndarray:
+    """``values`` as a read-only array of probabilities summing to 1 over ``axis``.
+
+    Non-finite input fails through :func:`finite_array`.  An entry below
+    ``NEGATIVE_CLAMP`` raises ValidationError with that entry as
+    ``residual``; the rest are clamped to 0, and a sum over ``axis`` (all
+    axes when None) more than ``atol`` away from 1 raises with the worst
+    deviation as ``residual``.  Callers that check a shape first pass the
+    :func:`finite_array` result.
+    """
+    arr = finite_array(values, what)
+    low = float(arr.min())
+    if low < NEGATIVE_CLAMP:
+        raise ValidationError(
+            f"{what}: entry {low} below the clamping threshold {NEGATIVE_CLAMP}", residual=low
+        )
+    arr = np.maximum(arr, 0.0)
+    worst = float(np.max(np.abs(arr.sum(axis=axis) - 1.0)))
+    if worst > atol:
+        raise ValidationError(f"{what} must sum to 1 (worst deviation {worst})", residual=worst)
+    arr.setflags(write=False)
     return arr
 
 

@@ -7,20 +7,21 @@ two reference triangle models (the symmetric flagged-dit model and the
 deterministic complementary-bit model), samples models, and searches model
 space exhaustively or by simulated annealing.
 
-Adjacency follows the quantum conventions: on a ring, party i reads
-(left, right) = (source i-1 mod N, source i); on a line with N+1 sources,
-party i reads (source i, source i+1).
+Adjacency is :meth:`NetworkTopology.party_sources`, the quantum convention:
+on a ring, party i reads (left, right) = (source i-1 mod N, source i); on a
+line with N+1 sources, party i reads (source i, source i+1).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError, finite_array
+from .errors import CapacityError, DomainError, ValidationError, finite_array, probability_array
 from .network import (
     POLYGON,
     JointDistribution,
@@ -35,7 +36,15 @@ MIN_L1 = "min-l1"
 MIN_LINF = "min-linf"
 OBJECTIVES = (MAX_ALL_EQUAL, MIN_L1, MIN_LINF)
 
+_TRIANGLE = NetworkTopology(POLYGON, 3)
+
+# Normalisation tolerance of source weights and response rows.
 _WEIGHT_ATOL = 1e-12
+
+# Fixed move parameters of the annealing search.
+INITIAL_TEMPERATURE = 0.05
+WEIGHT_MOVE_PROBABILITY = 0.2
+WEIGHT_STEP = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -53,15 +62,7 @@ class HiddenSource:
             raise DomainError(
                 f"weights shape {w.shape} does not match cardinality {self.cardinality}"
             )
-        if float(w.min()) < -_WEIGHT_ATOL:
-            raise ValidationError("source weights must be nonnegative", residual=float(w.min()))
-        w = np.maximum(w, 0.0)
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_ATOL:
-            raise ValidationError(
-                f"source weights sum to {total}, not 1", residual=abs(total - 1.0)
-            )
-        w.setflags(write=False)
+        w = probability_array(w, "source weights", atol=_WEIGHT_ATOL)
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -85,16 +86,7 @@ class ResponseTable:
         t = finite_array(self.table, "response table")
         if t.ndim != 3 or t.shape[2] != 4:
             raise DomainError(f"response table must have shape (cl, cr, 4), got {t.shape}")
-        if float(t.min()) < -_WEIGHT_ATOL:
-            raise ValidationError("response rows must be nonnegative", residual=float(t.min()))
-        t = np.maximum(t, 0.0)
-        sums = t.sum(axis=2)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > _WEIGHT_ATOL:
-            raise ValidationError(
-                f"response rows must sum to 1 (worst deviation {worst})", residual=worst
-            )
-        t.setflags(write=False)
+        t = probability_array(t, "response rows", axis=2, atol=_WEIGHT_ATOL)
         object.__setattr__(self, "table", t)
 
     @property
@@ -131,7 +123,7 @@ class RingLocalModel:
                 f"expected {self.n_parties} response tables, got {len(self.responses)}"
             )
         for i, resp in enumerate(self.responses):
-            left, right = self.party_sources(i)
+            left, right = topology.party_sources(i)
             expected = (self.sources[left].cardinality, self.sources[right].cardinality, 4)
             if resp.table.shape != expected:
                 raise DomainError(
@@ -141,7 +133,7 @@ class RingLocalModel:
 
     def party_sources(self, i: int) -> tuple[int, int]:
         """Indices of the (left, right) sources read by party ``i``."""
-        return _party_sources(self.kind, self.n_parties, i)
+        return self.topology.party_sources(i)
 
     @property
     def topology(self) -> NetworkTopology:
@@ -162,18 +154,12 @@ def evaluate_model(model: RingLocalModel) -> JointDistribution:
             f"hidden-configuration count {total} exceeds {MAX_HIDDEN_CONFIGURATIONS}"
         )
     probs = _contract(
-        model.kind, [r.table for r in model.responses], [s.weights for s in model.sources]
+        model.topology, [r.table for r in model.responses], [s.weights for s in model.sources]
     )
     return JointDistribution(model.topology, "local-model", probs.reshape((4,) * model.n_parties))
 
 
-def _party_sources(kind: str, n_parties: int, i: int) -> tuple[int, int]:
-    if kind == POLYGON:
-        return (i - 1) % n_parties, i
-    return i, i + 1
-
-
-def _contract(kind: str, tables, weights) -> np.ndarray:
+def _contract(top: NetworkTopology, tables, weights) -> np.ndarray:
     """Outcome table of a chain or ring model, flattened to shape (..., 4**n).
 
     ``tables[i]`` is party i's response table, shape (..., cl, cr, 4), and
@@ -183,10 +169,9 @@ def _contract(kind: str, tables, weights) -> np.ndarray:
     are closed by a trace on a ring or by summing both boundary sources on a
     line.
     """
-    n = len(tables)
     chain = None  # axes (..., first source, outcomes so far, open source)
     for i, table in enumerate(tables):
-        right = weights[_party_sources(kind, n, i)[1]]
+        right = weights[top.party_sources(i)[1]]
         block = np.swapaxes(table, -1, -2) * right[..., None, None, :]  # (..., cl, 4, cr)
         if chain is None:
             chain = block
@@ -195,7 +180,7 @@ def _contract(kind: str, tables, weights) -> np.ndarray:
         rows = chain.reshape(chain.shape[:-3] + (-1, cl))
         step = rows @ block.reshape(block.shape[:-3] + (cl, -1))
         chain = step.reshape(step.shape[:-2] + (first, -1, cr))
-    if kind == POLYGON:
+    if top.kind == POLYGON:
         # A plain left-to-right sum keeps one rounding order at every
         # cardinality; numpy's reductions turn pairwise from 8 terms on.
         return sum(chain[..., k, :, k] for k in range(chain.shape[-1]))
@@ -341,27 +326,14 @@ class SearchResult:
 @dataclass(frozen=True)
 class AnnealSchedule:
     steps: int = 100_000
-    initial_temperature: float = 0.05
     cooling: float = 0.999
-    weight_move_probability: float = 0.2
-    weight_step: float = 1.0 / 16.0
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not self.steps >= 0:
-            raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if not 0.0 < self.initial_temperature < math.inf:
-            raise DomainError(
-                f"initial_temperature must be finite and > 0, got {self.initial_temperature}"
-            )
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 0):
+            raise DomainError(f"steps must be an integer >= 0, got {self.steps!r}")
+        # Written so that NaN fails the check.
         if not 0.0 < self.cooling <= 1.0:
             raise DomainError(f"cooling must lie in (0, 1], got {self.cooling}")
-        if not 0.0 <= self.weight_move_probability <= 1.0:
-            raise DomainError(
-                f"weight_move_probability must lie in [0, 1], got {self.weight_move_probability}"
-            )
-        if not self.weight_step > 0.0:
-            raise DomainError(f"weight_step must be > 0, got {self.weight_step}")
 
 
 @dataclass(frozen=True)
@@ -426,7 +398,7 @@ def exhaustive_search(
     combos = np.array(list(itertools.product(range(c), repeat=3)))
     pair_idx = [
         combos[:, left] * c + combos[:, right]
-        for left, right in (_party_sources(POLYGON, 3, i) for i in range(3))
+        for left, right in map(_TRIANGLE.party_sources, range(3))
     ]
     n_combo = len(combos)
     onehots = [
@@ -487,7 +459,7 @@ def _refine_binary_weights(objective, tables, target):
     combos = np.array(list(itertools.product((0, 1), repeat=3)))
     onehots = np.eye(2)[combos]  # (8, source, value)
     combo_tables = _contract(
-        POLYGON, [np.eye(4)[t] for t in tables], [onehots[:, s] for s in range(3)]
+        _TRIANGLE, [np.eye(4)[t] for t in tables], [onehots[:, s] for s in range(3)]
     )  # (8, 64)
 
     grid = np.arange(65) / 64.0
@@ -524,7 +496,7 @@ def anneal_search(
         raise DomainError("cardinality must be at least 1")
     if cardinality > 4:
         raise CapacityError("annealing handles cardinality <= 4")
-    top = topology if topology is not None else NetworkTopology(POLYGON, 3)
+    top = topology if topology is not None else _TRIANGLE
     if top.kind != POLYGON or top.n_parties > 5:
         raise DomainError("annealing runs on rings with at most 5 parties")
     _check_objective(objective, target, top.n_parties)
@@ -539,7 +511,7 @@ def anneal_search(
     eye4 = np.eye(4)
 
     def energy(tabs, wts):
-        table = _contract(POLYGON, [eye4[t] for t in tabs], wts)
+        table = _contract(top, [eye4[t] for t in tabs], wts)
         value = float(_objective_value(objective, table, target_probs))
         return (-value if maximize else value), value
 
@@ -547,16 +519,16 @@ def anneal_search(
     best_e, best_v = current_e, current_v
     best_state = ([t.copy() for t in tables], [w.copy() for w in weights])
     trace = [(0, best_v)]
-    temperature = schedule.initial_temperature
+    temperature = INITIAL_TEMPERATURE
 
     for step in range(1, schedule.steps + 1):
-        mutate_weight = c > 1 and rng.random() < schedule.weight_move_probability
+        mutate_weight = c > 1 and rng.random() < WEIGHT_MOVE_PROBABILITY
         if mutate_weight:
             s = int(rng.integers(n))
             old_w = weights[s].copy()
             k = int(rng.integers(c))
             w = weights[s] + 0.0
-            w[k] += rng.random() * schedule.weight_step
+            w[k] += rng.random() * WEIGHT_STEP
             weights[s] = w / w.sum()
         else:
             pi = int(rng.integers(n))

@@ -25,12 +25,14 @@ import numpy as np
 
 from .bases import TwoQubitBasis
 from .errors import (
+    NEGATIVE_CLAMP,
     CapacityError,
     DomainError,
     NonDyadicError,
     UnknownEventError,
     ValidationError,
     finite_array,
+    probability_array,
 )
 from .linalg import SQRT3, singlet, tensor
 
@@ -42,9 +44,6 @@ MAX_NAIVE_PARTIES = 8
 # Transfer-matrix event queries are supported up to this many parties.
 MAX_EVENT_PARTIES = 64
 
-# Entries this far below zero are rounding noise and get clamped; anything
-# lower signals a contraction bug and is a hard error.
-NEGATIVE_CLAMP = -1e-12
 NORMALIZATION_ATOL = 1e-9
 
 ALL_EQUAL = "all-equal"
@@ -71,6 +70,12 @@ class NetworkTopology:
     @property
     def n_sources(self) -> int:
         return self.n_parties + 1 if self.kind == OPEN_LINE else self.n_parties
+
+    def party_sources(self, i: int) -> tuple[int, int]:
+        """Indices of the (left, right) sources read by party ``i``."""
+        if self.kind == POLYGON:
+            return (i - 1) % self.n_parties, i
+        return i, i + 1
 
 
 def open_line(n_parties: int) -> NetworkTopology:
@@ -100,19 +105,7 @@ class JointDistribution:
                 f"probability table shape {arr.shape} does not match "
                 f"{self.topology.n_parties} parties"
             )
-        low = float(arr.min())
-        if low < NEGATIVE_CLAMP:
-            raise ValidationError(
-                f"probability {low} below the clamping threshold {NEGATIVE_CLAMP}",
-                residual=low,
-            )
-        arr = np.maximum(arr, 0.0)
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
-            raise ValidationError(
-                f"probabilities sum to {total}, not 1", residual=abs(total - 1.0)
-            )
-        arr.setflags(write=False)
+        arr = probability_array(arr, "probabilities", atol=NORMALIZATION_ATOL)
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -166,7 +159,7 @@ def dyadic_reconstruct(p: float, log2_denominator: int) -> DyadicProbability:
     """
     if log2_denominator < 0 or log2_denominator > 1022:
         raise DomainError(f"log2_denominator out of range: {log2_denominator}")
-    if not -1e-12 <= p <= 1.0 + 1e-12:
+    if not NEGATIVE_CLAMP <= p <= 1.0 - NEGATIVE_CLAMP:
         raise DomainError(f"probability out of [0, 1]: {p}")
     p = min(max(float(p), 0.0), 1.0)
     numerator = round(math.ldexp(p, log2_denominator))
@@ -206,11 +199,8 @@ def joint_distribution_naive(top: NetworkTopology, basis: TwoQubitBasis) -> Join
     projectors = basis.states.conj().reshape(4, 2, 2)
 
     for i in range(n):
-        if top.kind == POLYGON:
-            left, right = ("s", (i - 1) % n), ("f", i)
-        else:
-            left, right = ("s", i), ("f", i + 1)
-        pl, pr = labels.index(left), labels.index(right)
+        left, right = top.party_sources(i)
+        pl, pr = labels.index(("s", left)), labels.index(("f", right))
         # Qubit axes always precede accumulated outcome axes, so positions in
         # `labels` are positions in the array.
         out = np.tensordot(out, projectors, axes=([pl, pr], [1, 2]))
@@ -456,9 +446,9 @@ def _default_dyadic_exponent(n_parties: int) -> int:
     return min(4 * n_parties + 4, 40)
 
 
-def distribution_to_json_dict(dist: JointDistribution, dyadic_log2: int | None = None) -> dict:
+def distribution_to_json_dict(dist: JointDistribution) -> dict:
     """JSON form of a distribution, with exact dyadic fields where they exist."""
-    k = _default_dyadic_exponent(dist.n_parties) if dyadic_log2 is None else dyadic_log2
+    k = _default_dyadic_exponent(dist.n_parties)
     entries = []
     for idx in np.ndindex(*dist.probs.shape):
         p = float(dist.probs[idx])

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ejmnet import (
     CapacityError,
@@ -247,6 +250,59 @@ class TestRingOrientation:
         p = joint_distribution_naive(polygon(n), basis).probs
         q = joint_distribution_naive(polygon(n), swapped).probs
         assert np.max(np.abs(q - np.transpose(p, (3, 2, 1, 0)))) < 1e-12
+
+
+def haar_basis(seed):
+    """Two-qubit measurement whose states are the columns of a Haar-random unitary."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return TwoQubitBasis("CUSTOM", (q * (np.diag(r) / np.abs(np.diag(r)))).T)
+
+
+def relabel(p, perm):
+    """Table with the same outcome permutation applied on every party."""
+    return p[np.ix_(*[list(perm)] * p.ndim)]
+
+
+RELABELLINGS = list(itertools.permutations(range(4)))
+SEEDS = st.integers(0, 2**32 - 1)
+TOPOLOGIES = st.one_of(st.integers(1, 6).map(open_line), st.integers(2, 6).map(polygon))
+
+
+class TestSymmetryProperties:
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(SEEDS, st.integers(2, 6))
+    def test_ring_cyclic_shift_invariance(self, seed, n):
+        p = joint_distribution_naive(polygon(n), haar_basis(seed)).probs
+        shifted = np.transpose(p, tuple(range(1, n)) + (0,))
+        assert np.max(np.abs(shifted - p)) < 1e-15
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.sampled_from(["ejm", "ejmz"]), TOPOLOGIES)
+    def test_ejm_full_symmetry(self, name, top):
+        # Reversal and all 24 global relabellings: the paper's full symmetry.
+        p = joint_distribution_naive(top, basis_by_name(name)).probs
+        assert np.max(np.abs(p.transpose(tuple(reversed(range(p.ndim)))) - p)) < 1e-15
+        for perm in RELABELLINGS:
+            assert np.max(np.abs(relabel(p, perm) - p)) < 1e-15
+
+    def test_massar_popescu_is_not_fully_symmetric(self):
+        # Control: the symmetry test can fail; MP keeps 8 relabellings only.
+        p = joint_distribution_naive(polygon(4), basis_by_name("mp")).probs
+        kept = [perm for perm in RELABELLINGS if np.max(np.abs(relabel(p, perm) - p)) < 1e-12]
+        assert len(kept) == 8
+        assert np.max(np.abs(p.transpose(3, 2, 1, 0) - p)) > 1e-6
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(SEEDS, TOPOLOGIES, st.data())
+    def test_transfer_matches_naive_on_random_bases(self, seed, top, data):
+        basis = haar_basis(seed)
+        dist = joint_distribution_naive(top, basis)
+        n = top.n_parties
+        outcome = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        assert abs(event_probability(top, basis, outcome) - dist.prob(outcome)) < 1e-14
+        all_equal = sum(float(dist.probs[(k,) * n]) for k in range(4))
+        assert abs(event_probability(top, basis, "all-equal") - all_equal) < 1e-14
 
 
 class TestJointDistributionType:
