@@ -42,7 +42,7 @@ def finite_array(values, what: str) -> np.ndarray:
 def probability_array(values, what: str, *, axis=None, atol: float) -> np.ndarray:
     """``values`` as a read-only array of probabilities summing to 1 over ``axis``.
 
-    Non-finite input fails through :func:`finite_array`.  An entry below
+    Non-finite or empty input raises ValidationError.  An entry below
     ``NEGATIVE_CLAMP`` raises ValidationError with that entry as
     ``residual``; the rest are clamped to 0, and a sum over ``axis`` (all
     axes when None) more than ``atol`` away from 1 raises with the worst
@@ -50,6 +50,8 @@ def probability_array(values, what: str, *, axis=None, atol: float) -> np.ndarra
     :func:`finite_array` result.
     """
     arr = finite_array(values, what)
+    if arr.size == 0:
+        raise ValidationError(f"{what} must not be empty")
     low = float(arr.min())
     if low < NEGATIVE_CLAMP:
         raise ValidationError(

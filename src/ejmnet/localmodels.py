@@ -379,6 +379,15 @@ def exhaustive_search(
     the common source cardinality, at most 2); ties break towards the
     lexicographically smallest table triple.  With ``optimize_weights`` the
     best triple is refined over a 1/64-step grid of binary source weights.
+    Without refinement the reported value is the witness re-scored through
+    :func:`evaluate_model`.
+
+    Relabelling the values of a uniform source maps a candidate to one with
+    the same outcome table, which :func:`_hit_scores` scores bit-equal, so
+    the lexicographically smallest optimum has a first-party table that is
+    the smallest of its relabelling orbit; only those tables are scanned
+    (76 of 256 at c = 2), each against every table pair of the other two
+    parties.
     """
     if cardinality < 1:
         raise DomainError("cardinality must be at least 1")
@@ -395,49 +404,30 @@ def exhaustive_search(
     powers = 4 ** np.arange(n_cells - 1, -1, -1)
     cells = (np.arange(n_tables)[:, None] // powers[None, :]) % 4
 
-    combos = np.array(list(itertools.product(range(c), repeat=3)))
-    pair_idx = [
-        combos[:, left] * c + combos[:, right]
+    # outcomes[i][k, t]: party i's outcome with table t in hidden configuration k.
+    configs = np.array(list(itertools.product(range(c), repeat=3)))
+    o0, o1, o2 = (
+        cells[:, configs[:, left] * c + configs[:, right]].T.astype(np.uint8)
         for left, right in map(_TRIANGLE.party_sources, range(3))
-    ]
-    n_combo = len(combos)
-    onehots = [
-        (cells[:, idx][:, :, None] == np.arange(4)).astype(float) for idx in pair_idx
-    ]
+    )
+    # Cell codes 4*a1 + a2 of every (r1, r2) pair, column r1 * n_tables + r2.
+    rest = (4 * o1[:, :, None] + o2[:, None, :]).reshape(len(configs), -1)
 
-    if objective == MAX_ALL_EQUAL:
-        j0, j1, j2 = (h.reshape(n_tables, -1) for h in onehots)
-        best_count = -1
-        best = (0, 0, 0)
-        for r0 in range(n_tables):
-            counts = (j1 * j0[r0]) @ j2.T
-            idx = int(np.argmax(counts))
-            count = int(round(counts.flat[idx]))
-            if count > best_count:
-                best_count = count
-                best = (r0, idx // n_tables, idx % n_tables)
-        value = best_count / n_combo
-    else:
-        target_flat = np.asarray(target.probs, dtype=float).reshape(16, 4)
-        h0, h1, h2 = onehots
-        right = h2.transpose(1, 0, 2).reshape(n_combo, n_tables * 4)
-        best_val = math.inf
-        best = (0, 0, 0)
-        for r0 in range(n_tables):
-            pair = h0[r0][None, :, :, None] * h1[:, :, None, :]  # (T, C, a, b)
-            left = pair.transpose(0, 2, 3, 1).reshape(n_tables * 16, n_combo)
-            counts = (left @ right).reshape(n_tables, 16, n_tables, 4)
-            diff = counts / n_combo - target_flat[None, :, None, :]
-            if objective == MIN_L1:
-                dist = np.abs(diff).sum(axis=(1, 3))
-            else:
-                dist = np.abs(diff).max(axis=(1, 3))
-            idx = int(np.argmin(dist))
-            val = float(dist.flat[idx])
-            if val < best_val:
-                best_val = val
-                best = (r0, idx // n_tables, idx % n_tables)
-        value = best_val
+    target_flat = None if target is None else target.probs.reshape(-1)
+    maximize = objective == MAX_ALL_EQUAL
+    relabellings = list(itertools.permutations(range(c)))
+    pair_cells = np.arange(n_cells).reshape(c, c)
+    images = [
+        cells[:, pair_cells[np.ix_(left, right)].ravel()] @ powers
+        for left in relabellings
+        for right in relabellings
+    ]
+    best_score, best = None, None
+    for r0 in np.flatnonzero(np.min(images, axis=0) == np.arange(n_tables)):
+        score = _hit_scores(objective, 16 * o0[:, r0, None] + rest, target_flat)
+        idx = int(np.argmax(score) if maximize else np.argmin(score))
+        if best is None or (score[idx] > best_score if maximize else score[idx] < best_score):
+            best_score, best = score[idx], (int(r0), *divmod(idx, n_tables))
 
     tables = [cells[t].reshape(c, c) for t in best]
     weights = [np.full(c, 1.0 / c)] * 3
@@ -451,11 +441,61 @@ def exhaustive_search(
         tuple(HiddenSource(c, w) for w in weights),
         tuple(ResponseTable.from_outcomes(i, t) for i, t in enumerate(tables)),
     )
+    if not refined:
+        value = _objective_value(objective, evaluate_model(witness).probs.reshape(-1), target_flat)
     return SearchResult(objective, float(value), witness, n_tables**3, refined)
 
 
+def _hit_scores(objective: str, codes: np.ndarray, target: np.ndarray | None) -> np.ndarray:
+    """Objective values of uniform-source triangle candidates from the cells they hit.
+
+    ``codes[k, ...]`` is the outcome cell 16*a0 + 4*a1 + a2 that the k-th of
+    K equally likely hidden configurations yields; ``target`` is flat, (64,).
+    A candidate hits at most K cells, so with n the multiplicity of a hit
+    cell and t its target entry, L1 = sum(t) + sum_hit(|n/K - t| - t) and
+    Linf = max(max_hit |n/K - t|, largest t among un-hit cells).  Hit cells
+    are combined in ascending cell order, so candidates with equal outcome
+    tables score bit-equal.
+    """
+    n_conf = codes.shape[0]
+    if objective == MAX_ALL_EQUAL:
+        # The all-equal cell with a0 = code >> 4 is 21 * a0.
+        return (codes == 21 * (codes >> 4)).sum(axis=0, dtype=np.uint8) / n_conf
+    # Sort each candidate's cells by an odd-even transposition network, far
+    # cheaper than np.sort on K-entry columns.
+    cells = codes.copy()
+    for sweep in range(n_conf):
+        for k in range(sweep % 2, n_conf - 1, 2):
+            low = np.minimum(cells[k], cells[k + 1])
+            cells[k + 1] = np.maximum(cells[k], cells[k + 1])
+            cells[k] = low
+    repeat = cells[1:] == cells[:-1]
+    # Run length from each position; at the first entry of a run it is the
+    # cell's multiplicity.
+    count = np.ones(cells.shape)
+    for k in range(n_conf - 2, -1, -1):
+        count[k] += repeat[k] * count[k + 1]
+    t = target[cells]
+    gap = np.abs(count / n_conf - t)
+    if objective == MIN_L1:
+        terms = gap - t
+        terms[1:][repeat] = 0.0
+        return target.sum() + terms.sum(axis=0)
+    gap[1:][repeat] = 0.0
+    # At most K cells are hit, so the largest un-hit entry is among the K + 1
+    # largest; visiting those in ascending order leaves the largest free one.
+    unhit = np.zeros(gap.shape[1:])
+    for cell in np.argsort(target, kind="stable")[-(n_conf + 1) :]:
+        unhit = np.where((cells != cell).all(axis=0), target[cell], unhit)
+    return np.maximum(gap.max(axis=0), unhit)
+
+
 def _refine_binary_weights(objective, tables, target):
-    """Grid-scan P(value=1) of each binary source in 1/64 steps."""
+    """Grid-scan P(value=1) of each binary source in 1/64 steps.
+
+    The 65**3 grid is scanned in slabs of one first-source weight, in grid
+    order, so ties keep the first grid point.
+    """
     combos = np.array(list(itertools.product((0, 1), repeat=3)))
     onehots = np.eye(2)[combos]  # (8, source, value)
     combo_tables = _contract(
@@ -463,18 +503,21 @@ def _refine_binary_weights(objective, tables, target):
     )  # (8, 64)
 
     grid = np.arange(65) / 64.0
-    g0, g1, g2 = np.meshgrid(grid, grid, grid, indexing="ij")
-    w = np.stack([g.ravel() for g in (g0, g1, g2)], axis=1)  # (65**3, 3)
-    combo_probs = np.ones((w.shape[0], 8))
-    for s in range(3):
-        on = combos[:, s][None, :]
-        combo_probs *= np.where(on == 1, w[:, s : s + 1], 1.0 - w[:, s : s + 1])
-    table_probs = combo_probs @ combo_tables  # (grid, 64)
-
+    g1, g2 = np.meshgrid(grid, grid, indexing="ij")
     target_flat = None if target is None else target.probs.reshape(-1)
-    score = _objective_value(objective, table_probs, target_flat)
-    idx = int(np.argmax(score) if objective == MAX_ALL_EQUAL else np.argmin(score))
-    return float(score[idx]), [np.array([1.0 - wi, wi]) for wi in w[idx]]
+    maximize = objective == MAX_ALL_EQUAL
+    best_score, best_w = None, None
+    for w0 in grid:
+        w = np.stack([np.full(g1.size, w0), g1.ravel(), g2.ravel()], axis=1)  # (65**2, 3)
+        combo_probs = np.ones((w.shape[0], 8))
+        for s in range(3):
+            on = combos[:, s][None, :]
+            combo_probs *= np.where(on == 1, w[:, s : s + 1], 1.0 - w[:, s : s + 1])
+        score = _objective_value(objective, combo_probs @ combo_tables, target_flat)
+        idx = int(np.argmax(score) if maximize else np.argmin(score))
+        if best_w is None or (score[idx] > best_score if maximize else score[idx] < best_score):
+            best_score, best_w = score[idx], w[idx]
+    return float(best_score), [np.array([1.0 - wi, wi]) for wi in best_w]
 
 
 def anneal_search(

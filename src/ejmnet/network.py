@@ -18,6 +18,7 @@ and the second qubit of source N dangling.  Dangling qubits are traced out.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +62,8 @@ class NetworkTopology:
     def __post_init__(self):
         if self.kind not in (OPEN_LINE, POLYGON):
             raise DomainError(f"kind must be {OPEN_LINE!r} or {POLYGON!r}, got {self.kind!r}")
+        if not isinstance(self.n_parties, numbers.Integral):
+            raise DomainError(f"n_parties must be an integer, got {self.n_parties!r}")
         minimum = 1 if self.kind == OPEN_LINE else 2
         if self.n_parties < minimum:
             raise DomainError(

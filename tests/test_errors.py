@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ejmnet import (
+    DomainError,
     HiddenSource,
     JointDistribution,
     ResponseTable,
@@ -87,3 +88,28 @@ def test_gate_sums_over_the_given_axes():
     assert err.value.residual == pytest.approx(0.25)
     with pytest.raises(ValidationError, match="finite"):
         probability_array([np.nan, 1.0], "rows", atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: probability_array([], "gate", atol=1e-9),
+        lambda: ResponseTable(0, np.zeros((0, 0, 4))),
+        lambda: ResponseTable(0, np.zeros((2, 0, 4))),
+        lambda: HiddenSource(0, np.zeros(0)),
+        lambda: JointDistribution(polygon(2), "x", np.zeros(0)),
+    ],
+    ids=[
+        "gate",
+        "ResponseTable",
+        "ResponseTable-one-empty-axis",
+        "HiddenSource",
+        "JointDistribution",
+    ],
+)
+def test_empty_input_raises_package_error(build):
+    # numpy's own ValueError from reducing an empty array is also a
+    # ValueError, so the check is on the exact package types.
+    with pytest.raises((ValidationError, DomainError)) as err:
+        build()
+    assert type(err.value) in (ValidationError, DomainError)

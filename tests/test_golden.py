@@ -42,6 +42,19 @@ GOLDEN = [
         "59da838b523b0d102de143de839574f7b9e1a7ecb31750c20ea969beac1845cd",
     ),
     ("bell-check --target pr-box", "9dad03140539b1b41b57fb439d4240c54447097e08c567e969fdc7915e2a2ad8"),
+    ("search --method exhaustive", "8003cda7c79653096127503953a5e07ea719e72661f287e0224a7d809890b8e1"),
+    (
+        "search --method exhaustive --optimize-weights",
+        "581a582a3d44e13581572c3268447c4f9220277aad05905b63c1f8907d13d921",
+    ),
+    (
+        "search --method exhaustive --objective l1 --target ejm-triangle",
+        "63df27fbb82d4ee99c213a48f08481732b3692ae390fde8a42eb5686685e5d3a",
+    ),
+    (
+        "search --method exhaustive --objective linf --target ejm-triangle-coarse",
+        "274f87e0474a6a538b57c5ff55da0e5d829e96e98118b626b3adc4b284912c2a",
+    ),
 ]
 
 

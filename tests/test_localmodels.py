@@ -30,6 +30,7 @@ from ejmnet import (
     q_model_flag_audit,
     sample_model,
 )
+from ejmnet.localmodels import OBJECTIVES, _TRIANGLE, _contract, _hit_scores, _objective_value
 
 # Conditional pair/triple rates per source-flag combination, flags in binary
 # ascending (alpha, beta, gamma) order.
@@ -99,6 +100,28 @@ def brute_force_table(model, reads):
             joint = np.multiply.outer(joint, resp.table[hidden[l], hidden[r]])
         probs += joint
     return probs
+
+
+def candidate_codes(tables):
+    """Outcome cell 16*a0 + 4*a1 + a2 of every hidden configuration of a
+    uniform-source triangle candidate, by explicit enumeration."""
+    c = len(tables[0])
+    codes = []
+    for hidden in itertools.product(range(c), repeat=3):
+        outcomes = [
+            t[hidden[left], hidden[right]]
+            for t, (left, right) in zip(tables, map(_TRIANGLE.party_sources, range(3)))
+        ]
+        codes.append(16 * outcomes[0] + 4 * outcomes[1] + outcomes[2])
+    return np.array(codes, dtype=np.uint8)
+
+
+def witness_codes(result):
+    """Base-4 table index of each party, first pair cell most significant."""
+    return tuple(
+        int("".join(str(v) for v in np.argmax(r.table, axis=2).ravel()), 4)
+        for r in result.witness.responses
+    )
 
 
 class TestQModel:
@@ -311,10 +334,60 @@ class TestExhaustiveSearch:
         # Frozen enumeration optimum over deterministic tables with uniform
         # binary sources.
         assert abs(result.value - 17.0 / 16.0) < 1e-12
+        assert witness_codes(result) == (27, 45, 54)
         recheck = float(np.abs(
             evaluate_model(result.witness).probs - triangle_ejm.probs
         ).sum())
         assert abs(recheck - result.value) < 1e-12
+
+    @pytest.mark.parametrize(
+        "target, value, codes",
+        [
+            ("triangle_ejm", 0.10546875000000003, (6, 111, 148)),
+            ("triangle_ejm_coarse", 0.09374999999999978, (5, 5, 5)),
+        ],
+        ids=["ejm-triangle", "ejm-triangle-coarse"],
+    )
+    def test_cardinality_two_linf_baseline(self, request, target, value, codes):
+        target = request.getfixturevalue(target)
+        result = exhaustive_search(2, MIN_LINF, target)
+        # Frozen enumeration optimum and lexicographically smallest witness.
+        assert result.value == value
+        assert witness_codes(result) == codes
+        recheck = float(np.abs(evaluate_model(result.witness).probs - target.probs).max())
+        assert recheck == value
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]), st.sampled_from(OBJECTIVES), st.integers(0, 2**32 - 1))
+    def test_hit_scores_match_contraction(self, c, objective, seed):
+        rng = np.random.default_rng(seed)
+        tables = [rng.integers(0, 4, size=(c, c)) for _ in range(3)]
+        target = rng.dirichlet(np.full(64, 0.3))
+        kernel = _hit_scores(objective, candidate_codes(tables)[:, None], target)[0]
+        table = _contract(_TRIANGLE, [np.eye(4)[t] for t in tables], [np.full(c, 1.0 / c)] * 3)
+        assert abs(kernel - _objective_value(objective, table, target)) < 1e-12
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_source_relabellings_keep_the_outcome_table(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = [rng.integers(0, 4, size=(2, 2)) for _ in range(3)]
+        target = rng.dirichlet(np.ones(64))
+        outcome_tables, scores = [], []
+        for flips in itertools.product((0, 1), repeat=3):
+            # Flipping source s swaps its two values in every table that reads it.
+            values = [[f, 1 - f] for f in flips]
+            relabelled = [
+                t[np.ix_(values[left], values[right])]
+                for t, (left, right) in zip(tables, map(_TRIANGLE.party_sources, range(3)))
+            ]
+            outcome_tables.append(
+                _contract(_TRIANGLE, [np.eye(4)[t] for t in relabelled], [np.full(2, 0.5)] * 3)
+            )
+            codes = candidate_codes(relabelled)[:, None]
+            scores.append([_hit_scores(o, codes, target)[0] for o in OBJECTIVES])
+        assert all(np.array_equal(t, outcome_tables[0]) for t in outcome_tables)
+        assert all(s == scores[0] for s in scores)
 
     def test_weight_refinement_keeps_optimum(self):
         result = exhaustive_search(2, MAX_ALL_EQUAL, optimize_weights=True)

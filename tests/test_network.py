@@ -305,6 +305,16 @@ class TestSymmetryProperties:
         assert abs(event_probability(top, basis, "all-equal") - all_equal) < 1e-14
 
 
+class TestTopologyType:
+    @pytest.mark.parametrize("build, n", [(polygon, 2.5), (open_line, 3.0)])
+    def test_rejects_non_integer_party_count(self, build, n):
+        with pytest.raises(DomainError, match="integer"):
+            build(n)
+
+    def test_accepts_numpy_integer_party_count(self):
+        assert polygon(np.int64(3)).n_sources == 3
+
+
 class TestJointDistributionType:
     def test_rejects_deep_negative(self):
         probs = np.full((4, 4), 1 / 16.0)
