@@ -4,8 +4,9 @@ The package simulates the outcome statistics of chains and rings of
 singlets whose parties all apply a four-outcome joint measurement (the
 elegant joint measurement, its z-anchored form, the Massar-Popescu basis
 or the Bell-state measurement), recovers the exact dyadic probabilities
-behind the floats, and probes how close classical network-local
-hidden-variable models can come to the quantum statistics.
+behind the floats where the floats certify them, and probes how close
+classical network-local hidden-variable models can come to the quantum
+statistics.
 """
 
 from .bases import (
@@ -93,6 +94,7 @@ from .network import (
     conditional_all_equal,
     conditional_all_equal_fraction,
     distribution_to_json_dict,
+    dyadic_columns,
     dyadic_reconstruct,
     event_probability,
     joint_distribution_naive,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -24,7 +25,6 @@ from .bases import BASIS_NAMES, basis_by_name, basis_from_json_dict, validate_ba
 from .errors import (
     CapacityError,
     DomainError,
-    NonDyadicError,
     UnknownEventError,
     ValidationError,
 )
@@ -45,8 +45,7 @@ from .localmodels import (
 from .network import (
     JointDistribution,
     coincidence_stats,
-    distribution_to_json_dict,
-    dyadic_reconstruct,
+    dyadic_fields,
     event_probability,
     joint_distribution_naive,
     open_line,
@@ -92,27 +91,60 @@ def _emit_csv(args, fieldnames: list[str], rows: list[dict]):
     _write(args, buf.getvalue())
 
 
-def _distribution_rows(dist_dict: dict) -> list[dict]:
-    rows = []
-    for entry in dist_dict["probabilities"]:
-        dyadic = entry["dyadic"]
-        rows.append(
-            {
-                "outcome": ",".join(str(a) for a in entry["outcome"]),
-                "p": entry["p"],
-                "dyadic_num": None if dyadic is None else dyadic["num"],
-                "dyadic_log2den": None if dyadic is None else dyadic["log2den"],
-            }
-        )
-    return rows
+# One table entry as json.dumps(indent=2, sort_keys=True) prints it inside
+# "probabilities", with and without a dyadic field, and the same as a CSV row.
+_JSON_ENTRY_DYADIC = (
+    '      {\n        "dyadic": {\n          "log2den": %d,\n          "num": %d\n        },\n'
+    '        "outcome": [\n%s\n        ],\n        "p": %r\n      }'
+)
+_JSON_ENTRY = '      {\n        "dyadic": null,\n        "outcome": [\n%s\n        ],\n        "p": %r\n      }'
+_CSV_ROW_DYADIC = "%s,%r,%d,%d\n"
+_CSV_ROW = "%s,%r,,\n"
 
 
-def _maybe_dyadic(p: float, log2den: int):
-    try:
-        dy = dyadic_reconstruct(p, log2den)
-        return {"num": dy.numerator, "log2den": dy.log2_denominator}
-    except NonDyadicError:
-        return None
+def _emit_table(args, dist: JointDistribution):
+    """Write a full outcome table as JSON or CSV.
+
+    The text is assembled from whole-table columns and equals what
+    ``json.dumps(indent=2, sort_keys=True)`` prints for the document around
+    :func:`distribution_to_json_dict`, or ``csv.DictWriter`` for its rows;
+    ``json.dumps`` with an indent cannot use CPython's C encoder.  Both
+    modules print a float as its ``repr``.
+    """
+    n = dist.n_parties
+    p = dist.probs.ravel()
+    ok, num, log2den = dyadic_fields(p, n)
+    columns = (p.tolist(), ok.tolist(), num.tolist(), log2den.tolist())
+    if args.format == "csv":
+        # csv's minimal quoting quotes an outcome only when it holds a comma.
+        quote = '"' if n > 1 else ""
+        outcomes = [quote + ",".join(o) + quote for o in itertools.product("1234", repeat=n)]
+        rows = [
+            _CSV_ROW_DYADIC % (o, value, numerator, k) if exact else _CSV_ROW % (o, value)
+            for o, value, exact, numerator, k in zip(outcomes, *columns)
+        ]
+        _write(args, "outcome,p,dyadic_num,dyadic_log2den\n" + "".join(rows))
+        return
+    digits = [" " * 10 + a for a in "1234"]
+    outcomes = [",\n".join(o) for o in itertools.product(digits, repeat=n)]
+    entries = [
+        _JSON_ENTRY_DYADIC % (k, numerator, o, value) if exact else _JSON_ENTRY % (o, value)
+        for o, value, exact, numerator, k in zip(outcomes, *columns)
+    ]
+    _write(
+        args,
+        "{\n"
+        '  "distribution": {\n'
+        f'    "basis": {json.dumps(dist.basis_label)},\n'
+        f'    "n": {n},\n'
+        '    "probabilities": [\n'
+        + ",\n".join(entries)
+        + "\n    ],\n"
+        f'    "topology": {json.dumps(dist.topology.kind)}\n'
+        "  },\n"
+        f'  "reproduces": {json.dumps(args.reproduces)}\n'
+        "}\n",
+    )
 
 
 def _parse_event_flag(raw: str, n: int):
@@ -169,10 +201,9 @@ def _cmd_chain(args) -> int:
     if args.event:
         event = _parse_event_flag(args.event, args.n)
         p = event_probability(top, basis, event)
-        # Beyond 48 fractional bits a float cannot pin the exact numerator;
-        # a prefix event's denominator is set by the prefix length alone.
+        # A prefix event's denominator is set by the prefix length alone.
         scale = event[1] if isinstance(event, tuple) and event[0] == "prefix-equal" else args.n
-        exponent = 4 * scale + 4
+        ok, num, log2den = dyadic_fields([p], scale)
         payload = {
             "reproduces": "event probability on a singlet network via transfer matrices",
             "topology": top.kind,
@@ -180,15 +211,11 @@ def _cmd_chain(args) -> int:
             "basis": basis.label,
             "event": args.event,
             "p": p,
-            "dyadic": _maybe_dyadic(p, exponent) if exponent <= 48 else None,
+            "dyadic": {"num": int(num[0]), "log2den": int(log2den[0])} if ok[0] else None,
         }
         _emit_json(args, payload)
         return 0
-    payload = distribution_to_json_dict(joint_distribution_naive(top, basis))
-    if args.format == "csv":
-        _emit_csv(args, ["outcome", "p", "dyadic_num", "dyadic_log2den"], _distribution_rows(payload))
-    else:
-        _emit_json(args, {"reproduces": args.reproduces, "distribution": payload})
+    _emit_table(args, joint_distribution_naive(top, basis))
     return 0
 
 

@@ -17,6 +17,7 @@ and the second qubit of source N dangling.  Dangling qubits are traced out.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,6 +47,13 @@ MAX_NAIVE_PARTIES = 8
 MAX_EVENT_PARTIES = 64
 
 NORMALIZATION_ATOL = 1e-9
+
+# A dyadic field needs p within DYADIC_ATOL (8 ulps of 1) of its 2**-k grid
+# point.  That is evidence, not proof: an irrational p falls that close with
+# probability ~DYADIC_ATOL * 2**(k+1), ~4e-3 at k = 40 and certainty at
+# k = 48, so no field is emitted on a grid finer than 2**-MAX_DYADIC_EXPONENT.
+DYADIC_ATOL = 8 * np.finfo(float).eps
+MAX_DYADIC_EXPONENT = 40
 
 ALL_EQUAL = "all-equal"
 PREFIX_EQUAL = "prefix-equal"
@@ -153,26 +161,65 @@ def _reduced_dyadic(numerator: int, log2_denominator: int) -> DyadicProbability:
     return DyadicProbability(num, k)
 
 
+def dyadic_columns(p, log2_denominator: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dyadic gate, over a whole array of probabilities at once.
+
+    Rounds each ``p * 2**log2_denominator`` half-to-even to the nearest
+    integer and returns ``(ok, num, log2den)``: the grid point
+    ``num / 2**log2den`` in lowest terms for every entry (0 maps to
+    ``(0, 0)``), and ``ok`` where ``p`` lies within ``DYADIC_ATOL`` of it.
+    """
+    k = int(log2_denominator)
+    if not 0 <= k <= 1022:
+        raise DomainError(f"log2_denominator out of range: {log2_denominator}")
+    p = np.asarray(p, dtype=float)
+    inside = (p >= NEGATIVE_CLAMP) & (p <= 1.0 - NEGATIVE_CLAMP)
+    if not inside.all():
+        raise DomainError(f"probability out of [0, 1]: {p[~inside].flat[0]}")
+    p = np.clip(p, 0.0, 1.0)
+    scaled = np.rint(np.ldexp(p, k))
+    ok = np.abs(p - np.ldexp(scaled, -k)) <= DYADIC_ATOL
+    # scaled = mantissa * 2**(exponent - 53) with an integer mantissa below
+    # 2**53, which fits int64 for any k; ``m & -m`` is its lowest set bit.
+    fraction, exponent = np.frexp(scaled)
+    mantissa = np.ldexp(fraction, 53).astype(np.int64)
+    low = np.where(mantissa == 0, 1, mantissa & -mantissa)
+    num = mantissa // low
+    twos = exponent - 53 + np.frexp(low)[1] - 1
+    log2den = np.where(num == 0, 0, k - twos)
+    return ok, num, log2den
+
+
 def dyadic_reconstruct(p: float, log2_denominator: int) -> DyadicProbability:
     """Recover the exact dyadic rational behind a float probability.
 
-    Rounds ``p * 2**log2_denominator`` to the nearest integer and fails
-    with NonDyadicError when the residual is 1e-6 or larger; the result is
-    reduced to lowest terms.
+    The scalar case of :func:`dyadic_columns`: fails with NonDyadicError
+    when ``p`` is not within ``DYADIC_ATOL`` of a multiple of
+    ``2**-log2_denominator``; the result is reduced to lowest terms.
     """
-    if log2_denominator < 0 or log2_denominator > 1022:
-        raise DomainError(f"log2_denominator out of range: {log2_denominator}")
-    if not NEGATIVE_CLAMP <= p <= 1.0 - NEGATIVE_CLAMP:
-        raise DomainError(f"probability out of [0, 1]: {p}")
-    p = min(max(float(p), 0.0), 1.0)
-    numerator = round(math.ldexp(p, log2_denominator))
-    residual = abs(p - math.ldexp(numerator, -log2_denominator))
-    if residual >= 1e-6:
+    ok, num, log2den = dyadic_columns([p], log2_denominator)
+    if not ok[0]:
+        residual = abs(min(max(float(p), 0.0), 1.0) - math.ldexp(int(num[0]), -int(log2den[0])))
         raise NonDyadicError(
             f"{p} is not n/2^{log2_denominator} (residual {residual:.3g})",
             residual=residual,
         )
-    return _reduced_dyadic(numerator, log2_denominator)
+    return DyadicProbability(int(num[0]), int(log2den[0]))
+
+
+def dyadic_fields(probs, n_parties: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ok, num, log2den)`` of the dyadic fields emitted for n-party probabilities.
+
+    They are sought on the 2**-(4N+4) grid (ring tables live on 2**-(4N-2),
+    line tables need a little more headroom); past ``MAX_DYADIC_EXPONENT``
+    no entry gets one.
+    """
+    k = 4 * n_parties + 4
+    if k > MAX_DYADIC_EXPONENT:
+        probs = np.asarray(probs, dtype=float)
+        zeros = np.zeros(probs.shape, dtype=np.int64)
+        return zeros.astype(bool), zeros, zeros
+    return dyadic_columns(probs, k)
 
 
 # ---------------------------------------------------------------------------
@@ -418,51 +465,82 @@ def coincidence_stats(dist: JointDistribution) -> CoincidenceStats:
         if conds3:
             p_cond_triple = float(np.mean(conds3))
 
-    classes: dict[str, dict] = {}
-    for idx in np.ndindex(*probs.shape):
-        key = coincidence_pattern(idx)
-        p = float(probs[idx])
-        entry = classes.setdefault(
-            key, {"count": 0, "total": 0.0, "min": math.inf, "max": -math.inf}
-        )
-        entry["count"] += 1
-        entry["total"] += p
-        entry["min"] = min(entry["min"], p)
-        entry["max"] = max(entry["max"], p)
-
     return CoincidenceStats(
         p_pair_equal=p_pair_equal,
         p_all_equal=p_all_equal,
         p_cond_pair=p_cond_pair,
         p_cond_triple=p_cond_triple,
-        pattern_classes=classes,
+        pattern_classes=_pattern_classes(probs),
     )
+
+
+def _pattern_classes(probs: np.ndarray) -> dict:
+    """Count, total, min and max of p over each coincidence pattern.
+
+    Keys appear in order of their first member in C order, as a loop over
+    the table would insert them; ``ufunc.at`` applies in index order, so
+    each total is the loop's left-to-right sum.
+    """
+    n = probs.ndim
+    outcomes = np.indices(probs.shape, dtype=np.int8).reshape(n, -1)
+    # Relabel every tuple by order of first appearance: a party copies the
+    # label of an earlier party with its outcome, or takes the next new one.
+    canon = np.empty_like(outcomes)
+    new_label = np.zeros(outcomes.shape[1], dtype=np.int8)
+    for j in range(n):
+        label = np.full(outcomes.shape[1], -1, dtype=np.int8)
+        for i in range(j):
+            np.copyto(label, canon[i], where=outcomes[i] == outcomes[j])
+        new = label < 0
+        label[new] = new_label[new]
+        new_label += new
+        canon[j] = label
+    # A pattern's first member is the tuple of its own labels, so ascending
+    # flat indices of the patterns are first-appearance order.
+    _, first, classes = np.unique(
+        np.ravel_multi_index(canon, probs.shape), return_index=True, return_inverse=True
+    )
+    p = probs.ravel()
+    totals = np.zeros(len(first))
+    lows = np.full(len(first), math.inf)
+    highs = np.full(len(first), -math.inf)
+    np.add.at(totals, classes, p)
+    np.minimum.at(lows, classes, p)
+    np.maximum.at(highs, classes, p)
+    return {
+        "-".join(map(str, key)): {"count": c, "total": t, "min": lo, "max": hi}
+        for key, c, t, lo, hi in zip(
+            canon[:, first].T.tolist(),
+            np.bincount(classes).tolist(),
+            totals.tolist(),
+            lows.tolist(),
+            highs.tolist(),
+        )
+    }
 
 
 # ---------------------------------------------------------------------------
 # Emission
 
 
-def _default_dyadic_exponent(n_parties: int) -> int:
-    # Ring tables live on denominators 2**(4N-2), line tables need a little
-    # more headroom; cap so float rounding cannot corrupt the numerator.
-    return min(4 * n_parties + 4, 40)
-
-
 def distribution_to_json_dict(dist: JointDistribution) -> dict:
     """JSON form of a distribution, with exact dyadic fields where they exist."""
-    k = _default_dyadic_exponent(dist.n_parties)
-    entries = []
-    for idx in np.ndindex(*dist.probs.shape):
-        p = float(dist.probs[idx])
-        try:
-            dy = dyadic_reconstruct(p, k)
-            dyadic = {"num": dy.numerator, "log2den": dy.log2_denominator}
-        except NonDyadicError:
-            dyadic = None
-        entries.append(
-            {"outcome": [a + 1 for a in idx], "p": p, "dyadic": dyadic}
+    p = dist.probs.ravel()
+    ok, num, log2den = dyadic_fields(p, dist.n_parties)
+    entries = [
+        {
+            "outcome": list(outcome),
+            "p": value,
+            "dyadic": {"num": numerator, "log2den": k} if exact else None,
+        }
+        for outcome, value, exact, numerator, k in zip(
+            itertools.product(range(1, 5), repeat=dist.n_parties),
+            p.tolist(),
+            ok.tolist(),
+            num.tolist(),
+            log2den.tolist(),
         )
+    ]
     return {
         "topology": dist.topology.kind,
         "n": dist.n_parties,

@@ -1,10 +1,30 @@
+import contextlib
 import csv
+import io
 import json
+import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ejmnet import basis_to_json_dict, ejm_basis
-from ejmnet.cli import main
+from ejmnet import (
+    JointDistribution,
+    basis_by_name,
+    basis_to_json_dict,
+    distribution_to_json_dict,
+    ejm_basis,
+    joint_distribution_naive,
+    open_line,
+    polygon,
+)
+from ejmnet.cli import _emit_table, main
+
+BASES = ["ejm", "ejmz", "mp", "bsm"]
+TOPOLOGIES = st.one_of(st.integers(1, 5).map(open_line), st.integers(2, 5).map(polygon))
+TABLE_REPRODUCES = "full joint-outcome distribution by direct contraction"
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +57,92 @@ class TestTriangleCommand:
         assert first["dyadic_num"] == "25"
 
 
+def reference_table_text(fmt, dist, reproduces):
+    """The table as json.dumps and csv.DictWriter print the dict form."""
+    payload = distribution_to_json_dict(dist)
+    if fmt == "json":
+        return json.dumps({"reproduces": reproduces, "distribution": payload}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    fields = ["outcome", "p", "dyadic_num", "dyadic_log2den"]
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for entry in payload["probabilities"]:
+        dyadic = entry["dyadic"] or {"num": "", "log2den": ""}
+        writer.writerow(
+            {
+                "outcome": ",".join(str(a) for a in entry["outcome"]),
+                "p": entry["p"],
+                "dyadic_num": dyadic["num"],
+                "dyadic_log2den": dyadic["log2den"],
+            }
+        )
+    return buf.getvalue()
+
+
+class TestTableEmitter:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(TOPOLOGIES, st.sampled_from(BASES), st.sampled_from(["json", "csv"]))
+    def test_cli_matches_json_and_csv_modules(self, top, name, fmt):
+        argv = [top.kind, "--n", str(top.n_parties), "--basis", name, "--format", fmt]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        dist = joint_distribution_naive(top, basis_by_name(name))
+        assert buf.getvalue() == reference_table_text(fmt, dist, TABLE_REPRODUCES)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), TOPOLOGIES, st.sampled_from(["json", "csv"]))
+    def test_random_tables_match_json_and_csv_modules(self, seed, top, fmt):
+        # Dirichlet tables, half of their entries moved onto the dyadic grid.
+        n = top.n_parties
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(4**n))
+        snap = rng.random(4**n) < 0.5
+        probs[snap] = np.ldexp(np.rint(np.ldexp(probs[snap], 4 * n + 4)), -(4 * n + 4))
+        dist = JointDistribution(top, "x", (probs / probs.sum()).reshape((4,) * n))
+        buf = io.StringIO()
+        args = SimpleNamespace(format=fmt, out=None, reproduces="random \u00e9 table")
+        with contextlib.redirect_stdout(buf):
+            _emit_table(args, dist)
+        assert buf.getvalue() == reference_table_text(fmt, dist, args.reproduces)
+
+    def test_single_party_csv_is_unquoted(self, capsys):
+        code, out, _ = run_cli(capsys, "line", "--n", "1", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "outcome,p,dyadic_num,dyadic_log2den\n"
+            "1,0.24999999999999983,1,2\n"
+            "2,0.24999999999999983,1,2\n"
+            "3,0.24999999999999994,1,2\n"
+            "4,0.24999999999999983,1,2\n"
+        )
+
+    def test_irrational_massar_popescu_entry_has_no_dyadic(self, capsys):
+        # Its value is (127 - 12 sqrt3) / 2**16, not 1699 * 2**-20.
+        code, out, _ = run_cli(capsys, "line", "--n", "4", "--basis", "mp")
+        assert code == 0
+        entries = json.loads(out)["distribution"]["probabilities"]
+        entry = next(e for e in entries if e["outcome"] == [1, 1, 1, 2])
+        assert entry["dyadic"] is None
+        assert abs(entry["p"] - (127 - 12 * math.sqrt(3)) / 2**16) < 1e-15
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_every_field_equals_p(self, capsys, name):
+        tolerance = 8 * np.finfo(float).eps
+        fields = 0
+        for kind, low in (("line", 1), ("polygon", 2)):
+            for n in range(low, 7):
+                code, out, _ = run_cli(capsys, kind, "--n", str(n), "--basis", name)
+                assert code == 0
+                for entry in json.loads(out)["distribution"]["probabilities"]:
+                    dyadic = entry["dyadic"]
+                    if dyadic is not None:
+                        fields += 1
+                        exact = math.ldexp(dyadic["num"], -dyadic["log2den"])
+                        assert abs(exact - entry["p"]) <= tolerance
+        assert fields > 0
+
+
 class TestTable2Command:
     def test_matches_reference_values(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--max-n", "10")
@@ -50,10 +156,13 @@ class TestTable2Command:
 
 class TestChainCommands:
     def test_event_query(self, capsys):
+        code, out, _ = run_cli(capsys, "polygon", "--n", "9", "--event", "all-equal")
+        assert code == 0
+        assert json.loads(out)["dyadic"] == {"num": 70225, "log2den": 24}
+        # Past the 2**-40 grid a float cannot certify a dyadic field.
         code, out, _ = run_cli(capsys, "polygon", "--n", "10", "--event", "all-equal")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["dyadic"] == {"num": 32761, "log2den": 24}
+        assert json.loads(out)["dyadic"] is None
 
     def test_tuple_event(self, capsys):
         code, out, _ = run_cli(capsys, "line", "--n", "2", "--event", "tuple=1,1")

@@ -55,6 +55,21 @@ GOLDEN = [
         "search --method exhaustive --objective linf --target ejm-triangle-coarse",
         "274f87e0474a6a538b57c5ff55da0e5d829e96e98118b626b3adc4b284912c2a",
     ),
+    ("line --n 8", "a325d0edae987cfb6f39ebdbdafd8e9e92b3631ce4c1f61f118e52cad088a551"),
+    (
+        "polygon --n 7 --basis bsm --format csv",
+        "ce8113af2620212188f79bc0725744f14b7d980e19d6feef0bd8e8b4f214e6ba",
+    ),
+    (
+        "stats --topology line --n 8 --basis ejmz",
+        "50ac77ab5d4c9011019b265947c5d89d0f95307eeb178423edb5a174f58a14d8",
+    ),
+    ("line --n 1 --format csv", "f9e48dbe1da576e85804bf613c5d8698bdacb2bddd176c3fbc6c87cc543eb768"),
+    ("line --n 3 --basis mp", "8a61e5ed03914088cbce781b7303536793a062d2942d2b5e89cee27a607a56ee"),
+    (
+        "line --n 3 --basis mp --format csv",
+        "615d11deb6eca861d3c9bc72e8b84cfabf1c9da4ce6d8694083a087b620a5727",
+    ),
 ]
 
 

@@ -23,6 +23,7 @@ from ejmnet import (
     conditional_all_equal,
     conditional_all_equal_fraction,
     distribution_to_json_dict,
+    dyadic_columns,
     dyadic_reconstruct,
     event_probability,
     joint_distribution_naive,
@@ -32,6 +33,7 @@ from ejmnet import (
     polygon_all_equal_dyadic,
     table2_rows,
 )
+from ejmnet.network import coincidence_pattern
 
 SQRT3 = math.sqrt(3.0)
 
@@ -117,6 +119,45 @@ class TestDyadicReconstruct:
     def test_zero(self):
         d = dyadic_reconstruct(0.0, 12)
         assert (d.numerator, d.log2_denominator) == (0, 0)
+
+    def test_fine_grid_does_not_accept_every_float(self):
+        # 2**-20 is finer than the old 1e-6 acceptance, which took any float.
+        with pytest.raises(NonDyadicError):
+            dyadic_reconstruct(0.1, 20)
+
+
+DYADIC_ATOL = 8 * np.finfo(float).eps
+
+
+class TestDyadicColumns:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+        st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 60)), max_size=10),
+        st.integers(0, 1022),
+    )
+    def test_matches_exact_rounding(self, floats, grid_points, k):
+        # Reference: Python's round() and Fraction's reduction to lowest terms.
+        values = floats + [min(math.ldexp(m, -e), 1.0) for m, e in grid_points]
+        ok, num, log2den = dyadic_columns(values, k)
+        for p, accepted, numerator, exponent in zip(values, ok, num, log2den):
+            nearest = Fraction(round(math.ldexp(p, k)), 2**k)
+            assert (int(numerator), 2 ** int(exponent)) == (nearest.numerator, nearest.denominator)
+            assert accepted == (abs(Fraction(p) - nearest) <= Fraction(DYADIC_ATOL))
+        for (m, e), accepted in zip(grid_points, ok[len(floats):]):
+            if e <= k:
+                assert accepted
+
+    def test_scalar_case_agrees(self):
+        ok, num, log2den = dyadic_columns([0.09765625, 0.1, 0.0, 1.0], 10)
+        assert ok.tolist() == [True, False, True, True]
+        assert (num[0], log2den[0]) == (25, 8)
+        assert (num[2], log2den[2], num[3], log2den[3]) == (0, 0, 1, 0)
+
+    @pytest.mark.parametrize("values", [[0.5, 1.5], [np.nan], [-1e-9]])
+    def test_rejects_out_of_range(self, values):
+        with pytest.raises(DomainError):
+            dyadic_columns(values, 8)
 
 
 class TestTriangleDistribution:
@@ -303,6 +344,50 @@ class TestSymmetryProperties:
         assert abs(event_probability(top, basis, outcome) - dist.prob(outcome)) < 1e-14
         all_equal = sum(float(dist.probs[(k,) * n]) for k in range(4))
         assert abs(event_probability(top, basis, "all-equal") - all_equal) < 1e-14
+
+
+def reference_pattern_classes(probs):
+    """The coincidence-pattern classes by a loop over the table in C order."""
+    classes = {}
+    for idx in np.ndindex(*probs.shape):
+        p = float(probs[idx])
+        entry = classes.setdefault(
+            coincidence_pattern(idx), {"count": 0, "total": 0.0, "min": math.inf, "max": -math.inf}
+        )
+        entry["count"] += 1
+        entry["total"] += p
+        entry["min"] = min(entry["min"], p)
+        entry["max"] = max(entry["max"], p)
+    return classes
+
+
+def assert_same_classes(dist):
+    got = coincidence_stats(dist).pattern_classes
+    want = reference_pattern_classes(dist.probs)
+    # Equal dicts with equal key order; float totals bit-equal.
+    assert list(got) == list(want)
+    assert got == want
+    for entry in got.values():
+        assert type(entry["count"]) is int
+        assert all(type(entry[key]) is float for key in ("total", "min", "max"))
+
+
+class TestPatternClasses:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(SEEDS, st.integers(2, 6), st.sampled_from([open_line, polygon]))
+    def test_random_tables_match_loop(self, seed, n, build):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.full(4**n, 0.3))
+        weights[rng.random(4**n) < 0.2] = 0.0
+        weights /= weights.sum()
+        assert_same_classes(JointDistribution(build(n), "x", weights.reshape((4,) * n)))
+
+    @pytest.mark.parametrize("name", ["ejm", "ejmz", "mp", "bsm"])
+    def test_basis_tables_match_loop(self, name):
+        basis = basis_by_name(name)
+        for n in range(2, 7):
+            for top in (open_line(n), polygon(n)):
+                assert_same_classes(joint_distribution_naive(top, basis))
 
 
 class TestTopologyType:
