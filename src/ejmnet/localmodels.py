@@ -164,22 +164,33 @@ def _contract(top: NetworkTopology, tables, weights) -> np.ndarray:
 
     ``tables[i]`` is party i's response table, shape (..., cl, cr, 4), and
     ``weights[s]`` source s's weights, shape (..., c_s); leading axes
-    broadcast.  Each party's right source is folded into its table, parties
-    are chained by matrix products over their shared source, and the ends
-    are closed by a trace on a ring or by summing both boundary sources on a
-    line.
+    broadcast.  Each party's right source is folded into its table
+    (:func:`_fold`), parties are chained by matrix products over their
+    shared source (:func:`_chain_step`), and the ends are closed
+    (:func:`_close`).
     """
-    chain = None  # axes (..., first source, outcomes so far, open source)
+    chain = None
     for i, table in enumerate(tables):
-        right = weights[top.party_sources(i)[1]]
-        block = np.swapaxes(table, -1, -2) * right[..., None, None, :]  # (..., cl, 4, cr)
-        if chain is None:
-            chain = block
-            continue
-        first, cl, cr = chain.shape[-3], block.shape[-3], block.shape[-1]
-        rows = chain.reshape(chain.shape[:-3] + (-1, cl))
-        step = rows @ block.reshape(block.shape[:-3] + (cl, -1))
-        chain = step.reshape(step.shape[:-2] + (first, -1, cr))
+        block = _fold(table, weights[top.party_sources(i)[1]])
+        chain = block if chain is None else _chain_step(chain, block)
+    return _close(top, chain, weights)
+
+
+def _fold(table: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Party block (..., cl, 4, cr): a (..., cl, cr, 4) table times its right source's weights."""
+    return np.swapaxes(table, -1, -2) * right[..., None, None, :]
+
+
+def _chain_step(chain: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Append a party block to a chain, axes (..., first source, outcomes so far, open source)."""
+    first, cl, cr = chain.shape[-3], block.shape[-3], block.shape[-1]
+    rows = chain.reshape(chain.shape[:-3] + (-1, cl))
+    step = rows @ block.reshape(block.shape[:-3] + (cl, -1))
+    return step.reshape(step.shape[:-2] + (first, -1, cr))
+
+
+def _close(top: NetworkTopology, chain: np.ndarray, weights) -> np.ndarray:
+    """Close a full chain: a trace on a ring; on a line, sum both boundary sources."""
     if top.kind == POLYGON:
         # A plain left-to-right sum keeps one rounding order at every
         # cardinality; numpy's reductions turn pairwise from 8 terms on.
@@ -346,6 +357,14 @@ class AnnealResult:
     trace: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
 
+def _check_cardinality(cardinality, limit: int, capacity_message: str) -> int:
+    if not (isinstance(cardinality, numbers.Integral) and cardinality >= 1):
+        raise DomainError(f"cardinality must be an integer >= 1, got {cardinality!r}")
+    if cardinality > limit:
+        raise CapacityError(capacity_message)
+    return int(cardinality)
+
+
 def _check_objective(objective: str, target: JointDistribution | None, n_parties: int):
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -389,14 +408,10 @@ def exhaustive_search(
     (76 of 256 at c = 2), each against every table pair of the other two
     parties.
     """
-    if cardinality < 1:
-        raise DomainError("cardinality must be at least 1")
-    if cardinality > 2:
-        raise CapacityError(
-            "full enumeration handles cardinality <= 2 (4**(c*c) tables per party)"
-        )
+    c = _check_cardinality(
+        cardinality, 2, "full enumeration handles cardinality <= 2 (4**(c*c) tables per party)"
+    )
     _check_objective(objective, target, 3)
-    c = cardinality
     n_cells = c * c
     n_tables = 4**n_cells
     # cells[t, j]: outcome of table t in flattened pair cell j, base-4 digits
@@ -534,11 +549,14 @@ def anneal_search(
     Proposals either rewrite one response-table cell or shift weight inside
     one source; acceptance follows a geometric cooling schedule.  The run is
     fully determined by ``seed`` and emits a best-so-far trace.
+
+    Source s is party s's right source, so either move changes party s's
+    folded block alone.  Each party's block and the chain prefix ending at
+    it are kept, and a move recomputes that block and the prefixes from it
+    on, through the helpers of :func:`_contract` with the same operands, so
+    every energy is bit-equal to a full contraction.
     """
-    if cardinality < 1:
-        raise DomainError("cardinality must be at least 1")
-    if cardinality > 4:
-        raise CapacityError("annealing handles cardinality <= 4")
+    c = _check_cardinality(cardinality, 4, "annealing handles cardinality <= 4")
     top = topology if topology is not None else _TRIANGLE
     if top.kind != POLYGON or top.n_parties > 5:
         raise DomainError("annealing runs on rings with at most 5 parties")
@@ -547,18 +565,23 @@ def anneal_search(
     maximize = objective == MAX_ALL_EQUAL
 
     n = top.n_parties
-    c = cardinality
     rng = np.random.default_rng(seed)
     tables = [rng.integers(0, 4, size=(c, c)) for _ in range(n)]
     weights = [np.full(c, 1.0 / c) for _ in range(n)]
     eye4 = np.eye(4)
+    blocks = [_fold(eye4[t], w) for t, w in zip(tables, weights)]
+    chains = list(itertools.accumulate(blocks, _chain_step))  # chains[i]: blocks 0..i
 
-    def energy(tabs, wts):
-        table = _contract(top, [eye4[t] for t in tabs], wts)
-        value = float(_objective_value(objective, table, target_probs))
+    def refold(i):
+        blocks[i] = _fold(eye4[tables[i]], weights[i])
+        for j in range(i, n):
+            chains[j] = _chain_step(chains[j - 1], blocks[j]) if j else blocks[0]
+
+    def energy():
+        value = float(_objective_value(objective, _close(top, chains[-1], weights), target_probs))
         return (-value if maximize else value), value
 
-    current_e, current_v = energy(tables, weights)
+    current_e, current_v = energy()
     best_e, best_v = current_e, current_v
     best_state = ([t.copy() for t in tables], [w.copy() for w in weights])
     trace = [(0, best_v)]
@@ -580,7 +603,10 @@ def anneal_search(
             new_cell = int(rng.integers(3))
             tables[pi][li, ri] = new_cell if new_cell < old_cell else new_cell + 1
 
-        new_e, new_v = energy(tables, weights)
+        moved = s if mutate_weight else pi
+        saved_block, saved_chains = blocks[moved], chains[moved:]
+        refold(moved)
+        new_e, new_v = energy()
         delta = new_e - current_e
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
             current_e, current_v = new_e, new_v
@@ -593,6 +619,7 @@ def anneal_search(
                 weights[s] = old_w
             else:
                 tables[pi][li, ri] = old_cell
+            blocks[moved], chains[moved:] = saved_block, saved_chains
         temperature *= schedule.cooling
 
     tabs, wts = best_state

@@ -41,6 +41,15 @@ GOLDEN = [
         "search --method anneal --cardinality 3 --n 4 --seed 7 --steps 2000",
         "59da838b523b0d102de143de839574f7b9e1a7ecb31750c20ea969beac1845cd",
     ),
+    (
+        "search --method anneal --cardinality 4 --n 5 --seed 3 --steps 500",
+        "272fe560910e11c3d21fd0b3aa93d9c3dc8c9573895c9eafedf78f5fbf59ec36",
+    ),
+    (
+        "search --method anneal --objective l1 --target ejm-triangle --cardinality 4 --seed 11 "
+        "--steps 1000",
+        "cf42973d1d17ebeb62f669e0e14d730a8fa72b2eadc006a14464de8eec780928",
+    ),
     ("bell-check --target pr-box", "9dad03140539b1b41b57fb439d4240c54447097e08c567e969fdc7915e2a2ad8"),
     ("search --method exhaustive", "8003cda7c79653096127503953a5e07ea719e72661f287e0224a7d809890b8e1"),
     (

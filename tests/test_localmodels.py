@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from ejmnet import (
     CapacityError,
     DomainError,
     HiddenSource,
+    JointDistribution,
     NetworkTopology,
     ResponseTable,
     RingLocalModel,
@@ -30,7 +32,17 @@ from ejmnet import (
     q_model_flag_audit,
     sample_model,
 )
-from ejmnet.localmodels import OBJECTIVES, _TRIANGLE, _contract, _hit_scores, _objective_value
+from ejmnet.localmodels import (
+    INITIAL_TEMPERATURE,
+    OBJECTIVES,
+    POLYGON,
+    WEIGHT_MOVE_PROBABILITY,
+    WEIGHT_STEP,
+    _TRIANGLE,
+    _contract,
+    _hit_scores,
+    _objective_value,
+)
 
 # Conditional pair/triple rates per source-flag combination, flags in binary
 # ascending (alpha, beta, gamma) order.
@@ -398,6 +410,17 @@ class TestExhaustiveSearch:
         with pytest.raises(CapacityError):
             exhaustive_search(3, MAX_ALL_EQUAL)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None, 0, np.int64(-1)])
+    def test_non_integral_cardinality_rejected(self, bad):
+        # Before the check, 1.5 and 2.0 died in numpy with a TypeError.
+        with pytest.raises(DomainError, match="cardinality"):
+            exhaustive_search(bad, MAX_ALL_EQUAL)
+
+    def test_numpy_integer_cardinality_accepted(self):
+        result = exhaustive_search(np.int64(2), MAX_ALL_EQUAL)
+        assert result.value == exhaustive_search(2, MAX_ALL_EQUAL).value
+        assert type(result.witness.sources[0].cardinality) is int
+
     def test_distance_objective_needs_target(self):
         with pytest.raises(ValidationError):
             exhaustive_search(2, MIN_L1)
@@ -462,6 +485,18 @@ class TestAnnealSearch:
         with pytest.raises(CapacityError):
             anneal_search(5, MAX_ALL_EQUAL)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None, 0, np.int32(-2)])
+    def test_non_integral_cardinality_rejected(self, bad):
+        # Before the check, 2.5 and 3.0 died in numpy with a TypeError.
+        with pytest.raises(DomainError, match="cardinality"):
+            anneal_search(bad, MAX_ALL_EQUAL)
+
+    def test_numpy_integer_cardinality_accepted(self):
+        schedule = AnnealSchedule(steps=200)
+        result = anneal_search(np.int32(3), MAX_ALL_EQUAL, seed=5, schedule=schedule)
+        assert result.trace == anneal_search(3, MAX_ALL_EQUAL, seed=5, schedule=schedule).trace
+        assert type(result.witness.sources[0].cardinality) is int
+
     @pytest.mark.parametrize(
         "field, bad",
         [
@@ -481,3 +516,99 @@ class TestAnnealSearch:
     def test_schedule_accepts_domain_edges(self):
         AnnealSchedule(steps=0, cooling=1.0)
         AnnealSchedule(steps=np.int64(3))
+
+
+def full_recontraction_anneal(c, objective, target, top, seed, schedule):
+    """The annealing loop that recontracts every party at every step.
+
+    An independent reference for :func:`anneal_search`, which recontracts
+    only from the party that moved: same draws, same moves, and each energy
+    from a full :func:`_contract`.  Returns (trace, value, tables, weights).
+    """
+    target_probs = None if target is None else target.probs.reshape(-1)
+    maximize = objective == MAX_ALL_EQUAL
+    n = top.n_parties
+    rng = np.random.default_rng(seed)
+    tables = [rng.integers(0, 4, size=(c, c)) for _ in range(n)]
+    weights = [np.full(c, 1.0 / c) for _ in range(n)]
+    eye4 = np.eye(4)
+
+    def energy(tabs, wts):
+        table = _contract(top, [eye4[t] for t in tabs], wts)
+        value = float(_objective_value(objective, table, target_probs))
+        return (-value if maximize else value), value
+
+    current_e, current_v = energy(tables, weights)
+    best_e, best_v = current_e, current_v
+    best_state = ([t.copy() for t in tables], [w.copy() for w in weights])
+    trace = [(0, best_v)]
+    temperature = INITIAL_TEMPERATURE
+
+    for step in range(1, schedule.steps + 1):
+        mutate_weight = c > 1 and rng.random() < WEIGHT_MOVE_PROBABILITY
+        if mutate_weight:
+            s = int(rng.integers(n))
+            old_w = weights[s].copy()
+            k = int(rng.integers(c))
+            w = weights[s] + 0.0
+            w[k] += rng.random() * WEIGHT_STEP
+            weights[s] = w / w.sum()
+        else:
+            pi = int(rng.integers(n))
+            li, ri = int(rng.integers(c)), int(rng.integers(c))
+            old_cell = tables[pi][li, ri]
+            new_cell = int(rng.integers(3))
+            tables[pi][li, ri] = new_cell if new_cell < old_cell else new_cell + 1
+
+        new_e, new_v = energy(tables, weights)
+        delta = new_e - current_e
+        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
+            current_e, current_v = new_e, new_v
+            if new_e < best_e:
+                best_e, best_v = new_e, new_v
+                best_state = ([t.copy() for t in tables], [w.copy() for w in weights])
+                trace.append((step, best_v))
+        else:
+            if mutate_weight:
+                weights[s] = old_w
+            else:
+                tables[pi][li, ri] = old_cell
+        temperature *= schedule.cooling
+
+    tabs, wts = best_state
+    probs = _contract(top, [eye4[t] for t in tabs], wts)
+    value = float(_objective_value(objective, probs, target_probs))
+    return tuple(trace), value, tabs, wts
+
+
+@functools.lru_cache
+def ring_target(n):
+    """A normalised n-party ring distribution for the distance objectives."""
+    probs = np.random.default_rng(n).dirichlet(np.ones(4**n)).reshape((4,) * n)
+    return JointDistribution(NetworkTopology(POLYGON, n), "dirichlet", probs)
+
+
+class TestAnnealRecontraction:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        objective=st.sampled_from(OBJECTIVES),
+        steps=st.integers(100, 300),
+        cooling=st.sampled_from([0.9, 0.99, 0.999]),
+    )
+    def test_bit_equal_to_full_recontraction(self, c, n, seed, objective, steps, cooling):
+        top = NetworkTopology(POLYGON, n)
+        target = None if objective == MAX_ALL_EQUAL else ring_target(n)
+        schedule = AnnealSchedule(steps=steps, cooling=cooling)
+        result = anneal_search(c, objective, target, topology=top, seed=seed, schedule=schedule)
+        trace, value, tables, weights = full_recontraction_anneal(
+            c, objective, target, top, seed, schedule
+        )
+        assert result.trace == trace
+        assert result.value == value
+        for response, t in zip(result.witness.responses, tables, strict=True):
+            assert np.array_equal(response.table, np.eye(4)[t])
+        for source, w in zip(result.witness.sources, weights, strict=True):
+            assert source.weights.tobytes() == w.tobytes()
