@@ -88,6 +88,14 @@ def _pair_values(functional: np.ndarray) -> np.ndarray:
     )
 
 
+def _behaviour(target) -> np.ndarray:
+    """``target`` as a flat (256,) array; ValidationError unless each (x, y) slice sums to 1."""
+    p = finite_array(target, "target")
+    if p.shape != (4, 4, 4, 4):
+        raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
+    return probability_array(p, "target conditionals", axis=(2, 3), atol=TARGET_ATOL).ravel()
+
+
 def bell_lp_check(target) -> LocalityCertificate:
     """Decide membership of a behaviour in the local polytope.
 
@@ -96,10 +104,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     round adds every pair that is either party's best response to f and
     beats s.  INCONCLUSIVE flags a solver failure or a void margin or fit.
     """
-    p = finite_array(target, "target")
-    if p.shape != (4, 4, 4, 4):
-        raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
-    p = probability_array(p, "target conditionals", axis=(2, 3), atol=TARGET_ATOL).ravel()
+    p = _behaviour(target)
     onehot = np.eye(4)[_strategies()]
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
@@ -149,10 +154,7 @@ def bell_lp_check(target) -> LocalityCertificate:
 
 def verify_certificate(certificate: LocalityCertificate, target) -> dict:
     """Re-check a certificate by direct evaluation against the target."""
-    p = finite_array(target, "target")
-    if p.shape != (4, 4, 4, 4):
-        raise ValidationError(f"target must have shape (4,4,4,4), got {p.shape}")
-    p = probability_array(p, "target conditionals", axis=(2, 3), atol=TARGET_ATOL).ravel()
+    p = _behaviour(target)
     vertices = _vertex_matrix()
     if certificate.verdict == LOCAL:
         w = certificate.weights

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the input gates every validator uses."""
 
+import numbers
+
 import numpy as np
 
 # Entries this far below zero are rounding noise and get clamped; anything
@@ -22,6 +24,18 @@ class ValidationError(ValueError):
         super().__init__(message)
         self.residual = residual
         self.detail = detail
+
+
+def integer_in_range(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; DomainError unless it is an integer in ``low..high``.
+
+    ``high=None`` leaves the range open above.  numpy integers pass; floats,
+    strings and other non-``numbers.Integral`` values do not, even 2.0.
+    """
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    if not isinstance(value, numbers.Integral) or value < low or (high is not None and value > high):
+        raise DomainError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def finite_array(values, what: str) -> np.ndarray:

@@ -16,12 +16,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError, finite_array, probability_array
+from .errors import (
+    CapacityError,
+    DomainError,
+    ValidationError,
+    finite_array,
+    integer_in_range,
+    probability_array,
+)
 from .network import (
     POLYGON,
     JointDistribution,
@@ -49,25 +55,24 @@ WEIGHT_STEP = 1.0 / 16.0
 
 @dataclass(frozen=True)
 class HiddenSource:
-    """A hidden variable with finite cardinality and a weight vector."""
+    """A hidden variable: the weights of its values 0..cardinality-1."""
 
-    cardinality: int
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.cardinality < 1:
-            raise DomainError("source cardinality must be at least 1")
-        w = finite_array(self.weights, "source weights")
-        if w.shape != (self.cardinality,):
-            raise DomainError(
-                f"weights shape {w.shape} does not match cardinality {self.cardinality}"
-            )
-        w = probability_array(w, "source weights", atol=_WEIGHT_ATOL)
+        w = probability_array(self.weights, "source weights", atol=_WEIGHT_ATOL)
+        if w.ndim != 1:
+            raise DomainError(f"source weights must be a vector, got shape {w.shape}")
         object.__setattr__(self, "weights", w)
+
+    @property
+    def cardinality(self) -> int:
+        return self.weights.size
 
     @classmethod
     def uniform(cls, cardinality: int) -> "HiddenSource":
-        return cls(cardinality, np.full(cardinality, 1.0 / cardinality))
+        c = integer_in_range(cardinality, "cardinality", 1)
+        return cls(np.full(c, 1.0 / c))
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,10 @@ class ResponseTable:
 
     ``table`` has shape (card_left, card_right, 4); each row is a
     probability vector.  The table is deterministic when every row is a
-    one-hot vector.
+    one-hot vector.  Which party answers with it is its position in
+    :attr:`RingLocalModel.responses`.
     """
 
-    party: int
     table: np.ndarray
 
     def __post_init__(self):
@@ -94,50 +99,45 @@ class ResponseTable:
         return bool(np.all(np.isin(self.table, (0.0, 1.0))))
 
     @classmethod
-    def from_outcomes(cls, party: int, outcomes: np.ndarray) -> "ResponseTable":
+    def from_outcomes(cls, outcomes: np.ndarray) -> "ResponseTable":
         """Deterministic table from a (cl, cr) array of zero-based outcomes."""
         out = np.asarray(outcomes, dtype=int)
-        return cls(party, np.eye(4)[out])
+        return cls(np.eye(4)[out])
 
 
 @dataclass(frozen=True)
 class RingLocalModel:
-    """Hidden-variable model on a chain or ring of independent sources."""
+    """Hidden-variable model on a chain or ring of independent sources.
 
-    kind: str
-    n_parties: int
+    ``sources[s]`` is source s and ``responses[i]`` party i's table, read
+    over the sources ``topology.party_sources(i)``.
+    """
+
+    topology: NetworkTopology
     sources: tuple[HiddenSource, ...]
     responses: tuple[ResponseTable, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "responses", tuple(self.responses))
-        topology = NetworkTopology(self.kind, self.n_parties)  # validates kind/count
-        if len(self.sources) != topology.n_sources:
+        top = self.topology
+        if len(self.sources) != top.n_sources:
             raise DomainError(
-                f"{self.kind} model with {self.n_parties} parties needs "
-                f"{topology.n_sources} sources, got {len(self.sources)}"
+                f"{top.kind} model with {top.n_parties} parties needs "
+                f"{top.n_sources} sources, got {len(self.sources)}"
             )
-        if len(self.responses) != self.n_parties:
+        if len(self.responses) != top.n_parties:
             raise DomainError(
-                f"expected {self.n_parties} response tables, got {len(self.responses)}"
+                f"expected {top.n_parties} response tables, got {len(self.responses)}"
             )
         for i, resp in enumerate(self.responses):
-            left, right = topology.party_sources(i)
+            left, right = top.party_sources(i)
             expected = (self.sources[left].cardinality, self.sources[right].cardinality, 4)
             if resp.table.shape != expected:
                 raise DomainError(
                     f"party {i} response shape {resp.table.shape} does not match "
                     f"source cardinalities {expected[:2]}"
                 )
-
-    def party_sources(self, i: int) -> tuple[int, int]:
-        """Indices of the (left, right) sources read by party ``i``."""
-        return self.topology.party_sources(i)
-
-    @property
-    def topology(self) -> NetworkTopology:
-        return NetworkTopology(self.kind, self.n_parties)
 
 
 def evaluate_model(model: RingLocalModel) -> JointDistribution:
@@ -153,10 +153,9 @@ def evaluate_model(model: RingLocalModel) -> JointDistribution:
         raise CapacityError(
             f"hidden-configuration count {total} exceeds {MAX_HIDDEN_CONFIGURATIONS}"
         )
-    probs = _contract(
-        model.topology, [r.table for r in model.responses], [s.weights for s in model.sources]
-    )
-    return JointDistribution(model.topology, "local-model", probs.reshape((4,) * model.n_parties))
+    top = model.topology
+    probs = _contract(top, [r.table for r in model.responses], [s.weights for s in model.sources])
+    return JointDistribution(top, "local-model", probs.reshape((4,) * top.n_parties))
 
 
 def _contract(top: NetworkTopology, tables, weights) -> np.ndarray:
@@ -200,23 +199,23 @@ def _close(top: NetworkTopology, chain: np.ndarray, weights) -> np.ndarray:
 
 def sample_model(model: RingLocalModel, shots: int, seed: int = 42) -> JointDistribution:
     """Empirical distribution from ``shots`` Monte-Carlo draws of the model."""
-    if shots < 1:
-        raise DomainError(f"shots must be positive, got {shots}")
+    shots = integer_in_range(shots, "shots", 1)
+    top = model.topology
     rng = np.random.default_rng(seed)
     values = [
         rng.choice(s.cardinality, size=shots, p=s.weights) for s in model.sources
     ]
     outcomes = []
-    for i in range(model.n_parties):
-        left, right = model.party_sources(i)
-        rows = model.responses[i].table[values[left], values[right]]
+    for i, response in enumerate(model.responses):
+        left, right = top.party_sources(i)
+        rows = response.table[values[left], values[right]]
         cdf = np.cumsum(rows, axis=1)
         draws = rng.random(shots)
         outcomes.append(np.minimum((draws[:, None] >= cdf).sum(axis=1), 3))
-    flat = np.ravel_multi_index(outcomes, (4,) * model.n_parties)
-    counts = np.bincount(flat, minlength=4**model.n_parties).astype(float)
-    probs = (counts / shots).reshape((4,) * model.n_parties)
-    return JointDistribution(model.topology, "sampled-model", probs)
+    flat = np.ravel_multi_index(outcomes, (4,) * top.n_parties)
+    counts = np.bincount(flat, minlength=4**top.n_parties).astype(float)
+    probs = (counts / shots).reshape((4,) * top.n_parties)
+    return JointDistribution(top, "sampled-model", probs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def q_model(q: float) -> RingLocalModel:
     for dit in range(4):
         for flag in (0, 1):
             weights[dit * 2 + flag] = 0.25 * (q if flag else 1.0 - q)
-    source = HiddenSource(8, weights)
+    source = HiddenSource(weights)
 
     table = np.zeros((8, 8, 4))
     for left in range(8):
@@ -250,8 +249,7 @@ def q_model(q: float) -> RingLocalModel:
             else:
                 table[left, right, ldit] += 0.5
                 table[left, right, rdit] += 0.5
-    responses = tuple(ResponseTable(i, table) for i in range(3))
-    return RingLocalModel(POLYGON, 3, (source,) * 3, responses)
+    return RingLocalModel(_TRIANGLE, (source,) * 3, (ResponseTable(table),) * 3)
 
 
 def q_model_all_equal(q: float) -> float:
@@ -278,7 +276,7 @@ def q_model_flag_audit() -> list[dict]:
             w = np.zeros(8)
             for dit in range(4):
                 w[dit * 2 + flags[s_idx]] = 0.25
-            sources.append(HiddenSource(8, w))
+            sources.append(HiddenSource(w))
         conditioned = replace(base, sources=tuple(sources))
         stats = coincidence_stats(evaluate_model(conditioned))
         rows.append(
@@ -311,14 +309,14 @@ def asymmetric_model() -> RingLocalModel:
         {(0, 0): 3, (0, 1): 1, (1, 0): 4, (1, 1): 2},
     )
     responses = []
-    for party, bit_map in enumerate(bit_maps):
+    for bit_map in bit_maps:
         outcomes = np.zeros((2, 2), dtype=int)
         for left in (0, 1):
             for right in (0, 1):
                 outcomes[left, right] = bit_map[(1 - left, right)] - 1
-        responses.append(ResponseTable.from_outcomes(party, outcomes))
-    source = HiddenSource(2, np.array([0.5, 0.5]))
-    return RingLocalModel(POLYGON, 3, (source,) * 3, tuple(responses))
+        responses.append(ResponseTable.from_outcomes(outcomes))
+    source = HiddenSource(np.array([0.5, 0.5]))
+    return RingLocalModel(_TRIANGLE, (source,) * 3, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +338,7 @@ class AnnealSchedule:
     cooling: float = 0.999
 
     def __post_init__(self):
-        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 0):
-            raise DomainError(f"steps must be an integer >= 0, got {self.steps!r}")
+        object.__setattr__(self, "steps", integer_in_range(self.steps, "steps", 0))
         # Written so that NaN fails the check.
         if not 0.0 < self.cooling <= 1.0:
             raise DomainError(f"cooling must lie in (0, 1], got {self.cooling}")
@@ -358,11 +355,10 @@ class AnnealResult:
 
 
 def _check_cardinality(cardinality, limit: int, capacity_message: str) -> int:
-    if not (isinstance(cardinality, numbers.Integral) and cardinality >= 1):
-        raise DomainError(f"cardinality must be an integer >= 1, got {cardinality!r}")
-    if cardinality > limit:
+    c = integer_in_range(cardinality, "cardinality", 1)
+    if c > limit:
         raise CapacityError(capacity_message)
-    return int(cardinality)
+    return c
 
 
 def _check_objective(objective: str, target: JointDistribution | None, n_parties: int):
@@ -451,10 +447,9 @@ def exhaustive_search(
         value, weights = _refine_binary_weights(objective, tables, target)
         refined = True
     witness = RingLocalModel(
-        POLYGON,
-        3,
-        tuple(HiddenSource(c, w) for w in weights),
-        tuple(ResponseTable.from_outcomes(i, t) for i, t in enumerate(tables)),
+        _TRIANGLE,
+        [HiddenSource(w) for w in weights],
+        [ResponseTable.from_outcomes(t) for t in tables],
     )
     if not refined:
         value = _objective_value(objective, evaluate_model(witness).probs.reshape(-1), target_flat)
@@ -624,10 +619,7 @@ def anneal_search(
 
     tabs, wts = best_state
     witness = RingLocalModel(
-        POLYGON,
-        n,
-        tuple(HiddenSource(c, w) for w in wts),
-        tuple(ResponseTable.from_outcomes(i, t) for i, t in enumerate(tabs)),
+        top, [HiddenSource(w) for w in wts], [ResponseTable.from_outcomes(t) for t in tabs]
     )
     # Re-evaluate through the public path so the reported value is self-certifying.
     final_value = _objective_value(
@@ -642,44 +634,51 @@ def anneal_search(
 
 def model_to_json_dict(model: RingLocalModel) -> dict:
     return {
-        "kind": model.kind,
-        "n_parties": model.n_parties,
+        "kind": model.topology.kind,
+        "n_parties": model.topology.n_parties,
         "sources": [
             {"card": s.cardinality, "weights": [float(w) for w in s.weights]}
             for s in model.sources
         ],
         "responses": [
             {
-                "party": r.party,
+                "party": i,
                 "rows": {
                     f"({l},{rr})": [float(p) for p in r.table[l, rr]]
                     for l in range(r.table.shape[0])
                     for rr in range(r.table.shape[1])
                 },
             }
-            for r in model.responses
+            for i, r in enumerate(model.responses)
         ],
     }
 
 
 def model_from_json_dict(payload: dict) -> RingLocalModel:
+    """The model :func:`model_to_json_dict` wrote.
+
+    Each table's shape comes from the topology and the cardinalities of the
+    sources its party reads.  ValidationError on a malformed document: one
+    whose ``"card"`` is not its number of weights, whose ``"party"`` is not
+    its position, or whose ``"rows"`` are not exactly the table's cells.
+    """
     try:
-        kind = str(payload["kind"])
-        n = int(payload["n_parties"])
-        sources = tuple(
-            HiddenSource(int(s["card"]), np.asarray(s["weights"], dtype=float))
-            for s in payload["sources"]
-        )
+        top = NetworkTopology(payload["kind"], payload["n_parties"])
+        sources = [HiddenSource(s["weights"]) for s in payload["sources"]]
+        cards = [s["card"] for s in payload["sources"]]
+        if cards != [s.cardinality for s in sources]:
+            raise ValidationError(f"source cards {cards} do not count their weights")
+        if (len(sources), len(payload["responses"])) != (top.n_sources, top.n_parties):
+            raise ValidationError(f"{top} needs {top.n_sources} sources, {top.n_parties} responses")
         responses = []
-        for r in payload["responses"]:
-            rows = r["rows"]
-            cl = 1 + max(int(key.strip("()").split(",")[0]) for key in rows)
-            cr = 1 + max(int(key.strip("()").split(",")[1]) for key in rows)
-            table = np.zeros((cl, cr, 4))
-            for key, probs in rows.items():
-                l, rr = (int(x) for x in key.strip("()").split(","))
-                table[l, rr] = np.asarray(probs, dtype=float)
-            responses.append(ResponseTable(int(r["party"]), table))
+        for i, r in enumerate(payload["responses"]):
+            if r["party"] != i:
+                raise ValidationError(f"response {i} is labelled party {r['party']!r}")
+            cl, cr = (sources[s].cardinality for s in top.party_sources(i))
+            cells = [[f"({l},{rr})" for rr in range(cr)] for l in range(cl)]
+            if set(r["rows"]) != {key for row in cells for key in row}:
+                raise ValidationError(f"party {i} rows must be exactly the cells {cells}")
+            responses.append(ResponseTable([[r["rows"][key] for key in row] for row in cells]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model payload: {exc}") from exc
-    return RingLocalModel(kind, n, sources, tuple(responses))
+    return RingLocalModel(top, sources, responses)

@@ -34,6 +34,7 @@ from .errors import (
     UnknownEventError,
     ValidationError,
     finite_array,
+    integer_in_range,
     probability_array,
 )
 from .linalg import SQRT3, singlet, tensor
@@ -57,7 +58,6 @@ MAX_DYADIC_EXPONENT = 40
 
 ALL_EQUAL = "all-equal"
 PREFIX_EQUAL = "prefix-equal"
-SPECIFIC = "specific"
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,9 @@ class NetworkTopology:
     def __post_init__(self):
         if self.kind not in (OPEN_LINE, POLYGON):
             raise DomainError(f"kind must be {OPEN_LINE!r} or {POLYGON!r}, got {self.kind!r}")
-        if not isinstance(self.n_parties, numbers.Integral):
-            raise DomainError(f"n_parties must be an integer, got {self.n_parties!r}")
         minimum = 1 if self.kind == OPEN_LINE else 2
-        if self.n_parties < minimum:
-            raise DomainError(
-                f"{self.kind} topology needs at least {minimum} parties, got {self.n_parties}"
-            )
+        n = integer_in_range(self.n_parties, f"{self.kind} party count", minimum)
+        object.__setattr__(self, "n_parties", n)
 
     @property
     def n_sources(self) -> int:
@@ -143,12 +139,10 @@ class DyadicProbability:
 
 
 def _outcome_index(outcome, n_parties: int) -> tuple[int, ...]:
-    values = tuple(int(a) for a in outcome)
+    values = tuple(outcome)
     if len(values) != n_parties:
         raise DomainError(f"outcome tuple {values} does not have {n_parties} entries")
-    if any(a < 1 or a > 4 for a in values):
-        raise DomainError(f"outcomes must lie in 1..4, got {values}")
-    return tuple(a - 1 for a in values)
+    return tuple(integer_in_range(a, "outcome", 1, 4) - 1 for a in values)
 
 
 def _reduced_dyadic(numerator: int, log2_denominator: int) -> DyadicProbability:
@@ -169,9 +163,7 @@ def dyadic_columns(p, log2_denominator: int) -> tuple[np.ndarray, np.ndarray, np
     ``num / 2**log2den`` in lowest terms for every entry (0 maps to
     ``(0, 0)``), and ``ok`` where ``p`` lies within ``DYADIC_ATOL`` of it.
     """
-    k = int(log2_denominator)
-    if not 0 <= k <= 1022:
-        raise DomainError(f"log2_denominator out of range: {log2_denominator}")
+    k = integer_in_range(log2_denominator, "log2_denominator", 0, 1022)
     p = np.asarray(p, dtype=float)
     inside = (p >= NEGATIVE_CLAMP) & (p <= 1.0 - NEGATIVE_CLAMP)
     if not inside.all():
@@ -276,23 +268,15 @@ def transfer_matrices(basis: TwoQubitBasis) -> np.ndarray:
     return np.array([s.conj().reshape(2, 2) @ e for s in basis.states])
 
 
-def _parse_event(event, n_parties: int):
-    if isinstance(event, str):
-        if event in (ALL_EQUAL, "all_equal"):
-            return ALL_EQUAL, None
-        raise UnknownEventError(f"unknown event {event!r}")
-    if isinstance(event, (tuple, list)) and len(event) == 2 and event[0] in (
-        PREFIX_EQUAL,
-        "prefix_equal",
-    ):
-        n_prefix = int(event[1])
-        if not 1 <= n_prefix <= n_parties:
-            raise DomainError(f"prefix length {n_prefix} out of 1..{n_parties}")
-        return PREFIX_EQUAL, n_prefix
-    if isinstance(event, (tuple, list)) and len(event) == 2 and event[0] == SPECIFIC:
-        return SPECIFIC, _outcome_index(event[1], n_parties)
-    if isinstance(event, (tuple, list)) and all(isinstance(a, (int, np.integer)) for a in event):
-        return SPECIFIC, _outcome_index(event, n_parties)
+def _parse_event(event, n_parties: int) -> int | tuple[int, ...]:
+    """The length of the prefix an equality event spans, or a tuple event's zero-based outcomes."""
+    if isinstance(event, str) and event == ALL_EQUAL:
+        return n_parties
+    if isinstance(event, (tuple, list)):
+        if len(event) == 2 and event[0] == PREFIX_EQUAL:
+            return integer_in_range(event[1], "prefix length", 1, n_parties)
+        if all(isinstance(a, numbers.Integral) for a in event):
+            return _outcome_index(event, n_parties)
     raise UnknownEventError(f"unknown event {event!r}")
 
 
@@ -305,25 +289,26 @@ def _clamped(p: float) -> float:
 def event_probability(top: NetworkTopology, basis: TwoQubitBasis, event) -> float:
     """Probability of an outcome event via 2x2 transfer-matrix contraction.
 
-    ``event`` is "all-equal", ("prefix-equal", n), ("specific", tuple), or a
-    bare outcome tuple.  Works for up to 64 parties and agrees with the sum
+    ``event`` is "all-equal", ("prefix-equal", k) for the first k outcomes
+    equal, or an outcome tuple such as (1, 3, 2); anything else raises
+    UnknownEventError.  Works for up to 64 parties and agrees with the sum
     over :func:`joint_distribution_naive` wherever both apply.
     """
     n = top.n_parties
     if n > MAX_EVENT_PARTIES:
         raise CapacityError(f"event queries are limited to {MAX_EVENT_PARTIES} parties")
-    kind, arg = _parse_event(event, n)
+    parsed = _parse_event(event, n)
     kmats = transfer_matrices(basis)
 
-    if kind == SPECIFIC:
+    if isinstance(parsed, tuple):
         prod = np.eye(2, dtype=complex)
-        for a in arg:
+        for a in parsed:
             prod = prod @ kmats[a]
         if top.kind == POLYGON:
             return _clamped(abs(np.trace(prod)) ** 2)
         return _clamped(0.5 * float(np.linalg.norm(prod) ** 2))
 
-    n_prefix = n if kind == ALL_EQUAL else arg
+    n_prefix = parsed
     doubled = np.array([np.kron(k, k.conj()) for k in kmats])
     rest = np.linalg.matrix_power(doubled.sum(axis=0), n - n_prefix)
     boundary = np.array([1.0, 0.0, 0.0, 1.0])
@@ -341,21 +326,16 @@ def event_probability(top: NetworkTopology, basis: TwoQubitBasis, event) -> floa
 # Closed forms for the all-equal event (EJM measurements)
 
 
-def _check_range(value: int, low: int, high: int, name: str):
-    if not low <= value <= high:
-        raise DomainError(f"{name} must lie in {low}..{high}, got {value}")
-
-
 def closed_form_line(n: int) -> float:
     """All-equal probability for n parties measuring EJM on an open chain."""
-    _check_range(n, 1, 64, "n")
+    n = integer_in_range(n, "n", 1, 64)
     value = (SQRT3 + 1.0) ** (2 * n) + (SQRT3 - 1.0) ** (2 * n)
     return value / 2.0 ** (4 * n - 1)
 
 
 def closed_form_polygon(n: int) -> float:
     """All-equal probability for n parties measuring EJM on a ring."""
-    _check_range(n, 2, 64, "n")
+    n = integer_in_range(n, "n", 2, 64)
     trace = (-SQRT3 - 1.0) ** n + (SQRT3 - 1.0) ** n
     return trace * trace / 4.0 ** (2 * n - 1)
 
@@ -365,7 +345,7 @@ def conditional_all_equal(n: int) -> float:
 
     Converges rapidly to (2 + sqrt(3))/4 ~ 0.93301 as n grows.
     """
-    _check_range(n, 3, 64, "n")
+    n = integer_in_range(n, "n", 3, 64)
     return closed_form_polygon(n) / closed_form_line(n - 1)
 
 
@@ -392,19 +372,19 @@ def _ring_trace_numerator(n: int) -> int:
 
 def line_all_equal_dyadic(n: int) -> DyadicProbability:
     """Exact dyadic form of :func:`closed_form_line` via integer recurrence."""
-    _check_range(n, 1, 64, "n")
+    n = integer_in_range(n, "n", 1, 64)
     return _reduced_dyadic(_line_numerator(n), 4 * n - 1)
 
 
 def polygon_all_equal_dyadic(n: int) -> DyadicProbability:
     """Exact dyadic form of :func:`closed_form_polygon` via integer recurrence."""
-    _check_range(n, 2, 64, "n")
+    n = integer_in_range(n, "n", 2, 64)
     return _reduced_dyadic(_ring_trace_numerator(n) ** 2, 4 * n - 2)
 
 
 def conditional_all_equal_fraction(n: int) -> Fraction:
     """Exact rational form of the ring conditional; defined for n >= 2."""
-    _check_range(n, 2, 64, "n")
+    n = integer_in_range(n, "n", 2, 64)
     return Fraction(_ring_trace_numerator(n) ** 2, 8 * _line_numerator(n - 1))
 
 
@@ -555,7 +535,7 @@ def table2_rows(max_n: int = 10) -> list[dict]:
     Columns: N, line, polygon, conditional; floats are accompanied by exact
     dyadic/rational strings.  Ring columns start at N = 2.
     """
-    _check_range(max_n, 1, 64, "max_n")
+    max_n = integer_in_range(max_n, "max_n", 1, 64)
     rows = []
     for n in range(1, max_n + 1):
         line = line_all_equal_dyadic(n)

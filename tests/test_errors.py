@@ -13,7 +13,7 @@ from ejmnet import (
     polygon,
     uniform_target,
 )
-from ejmnet.errors import probability_array
+from ejmnet.errors import integer_in_range, probability_array
 
 # name -> (valid input, atol, build(array), the stored array or None).  The
 # first two flat entries of every input share one normalisation group.
@@ -33,13 +33,13 @@ ENTRY_POINTS = {
     "HiddenSource": (
         np.full(4, 0.25),
         1e-12,
-        lambda a: HiddenSource(4, a),
+        lambda a: HiddenSource(a),
         lambda out: out.weights,
     ),
     "ResponseTable": (
         np.full((2, 2, 4), 0.25),
         1e-12,
-        lambda a: ResponseTable(0, a),
+        lambda a: ResponseTable(a),
         lambda out: out.table,
     ),
     "bell_lp_check": (uniform_target(), 1e-9, bell_lp_check, None),
@@ -94,9 +94,9 @@ def test_gate_sums_over_the_given_axes():
     "build",
     [
         lambda: probability_array([], "gate", atol=1e-9),
-        lambda: ResponseTable(0, np.zeros((0, 0, 4))),
-        lambda: ResponseTable(0, np.zeros((2, 0, 4))),
-        lambda: HiddenSource(0, np.zeros(0)),
+        lambda: ResponseTable(np.zeros((0, 0, 4))),
+        lambda: ResponseTable(np.zeros((2, 0, 4))),
+        lambda: HiddenSource(np.zeros(0)),
         lambda: JointDistribution(polygon(2), "x", np.zeros(0)),
     ],
     ids=[
@@ -113,3 +113,12 @@ def test_empty_input_raises_package_error(build):
     with pytest.raises((ValidationError, DomainError)) as err:
         build()
     assert type(err.value) in (ValidationError, DomainError)
+
+
+def test_integer_gate():
+    assert integer_in_range(np.int64(3), "n", 1, 4) == 3
+    assert type(integer_in_range(np.int32(3), "n", 1)) is int
+    assert integer_in_range(10**6, "n", 0) == 10**6
+    for bad in (2.0, 2.5, "2", None, 0, 5, np.int64(-1)):
+        with pytest.raises(DomainError, match="n must be an integer in 1..4"):
+            integer_in_range(bad, "n", 1, 4)

@@ -71,41 +71,41 @@ def random_models(draw):
     n_sources = n + 1 if kind == "line" else n
     cards = draw(st.lists(st.integers(1, 3), min_size=n_sources, max_size=n_sources))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sources = tuple(HiddenSource(c, rng.dirichlet(np.ones(c))) for c in cards)
+    sources = tuple(HiddenSource(rng.dirichlet(np.ones(c))) for c in cards)
     reads = [((i - 1) % n, i) if kind == "polygon" else (i, i + 1) for i in range(n)]
     responses = tuple(
-        ResponseTable(i, rng.dirichlet(np.ones(4), size=(cards[l], cards[r])))
-        for i, (l, r) in enumerate(reads)
+        ResponseTable(rng.dirichlet(np.ones(4), size=(cards[l], cards[r]))) for l, r in reads
     )
-    return RingLocalModel(kind, n, sources, responses), reads
+    return RingLocalModel(NetworkTopology(kind, n), sources, responses), reads
 
 
 @st.composite
-def mixed_models(draw):
-    """Line or ring with 2..4 parties whose response tables are each either
+def mixed_models(draw, min_line=2, max_parties=4):
+    """Line with min_line..max_parties parties or ring with 2..max_parties,
+    source cardinalities 1..3, whose response tables are each either
     deterministic (leaving zero-mass cells) or stochastic."""
     kind = draw(st.sampled_from(["line", "polygon"]))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(min_line if kind == "line" else 2, max_parties))
     n_sources = n + 1 if kind == "line" else n
     cards = draw(st.lists(st.integers(1, 3), min_size=n_sources, max_size=n_sources))
     deterministic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sources = tuple(HiddenSource(c, rng.dirichlet(np.ones(c))) for c in cards)
+    sources = tuple(HiddenSource(rng.dirichlet(np.ones(c))) for c in cards)
     top = NetworkTopology(kind, n)
     responses = []
     for i in range(n):
         l, r = top.party_sources(i)
         shape = (cards[l], cards[r])
         if deterministic[i]:
-            responses.append(ResponseTable.from_outcomes(i, rng.integers(0, 4, size=shape)))
+            responses.append(ResponseTable.from_outcomes(rng.integers(0, 4, size=shape)))
         else:
-            responses.append(ResponseTable(i, rng.dirichlet(np.ones(4), size=shape)))
-    return RingLocalModel(kind, n, sources, tuple(responses))
+            responses.append(ResponseTable(rng.dirichlet(np.ones(4), size=shape)))
+    return RingLocalModel(top, sources, tuple(responses))
 
 
 def brute_force_table(model, reads):
     """Explicit sum over every hidden configuration."""
-    probs = np.zeros((4,) * model.n_parties)
+    probs = np.zeros((4,) * model.topology.n_parties)
     for hidden in itertools.product(*(range(s.cardinality) for s in model.sources)):
         joint = math.prod(s.weights[v] for s, v in zip(model.sources, hidden))
         for resp, (l, r) in zip(model.responses, reads):
@@ -230,8 +230,8 @@ class TestEvaluateAndSample:
                 copy_right[l, r, r] = 1.0
                 copy_left[l, r, l] = 1.0
         model = RingLocalModel(
-            "line", 2, sources,
-            (ResponseTable(0, copy_right), ResponseTable(1, copy_left)),
+            NetworkTopology("line", 2), sources,
+            (ResponseTable(copy_right), ResponseTable(copy_left)),
         )
         dist = evaluate_model(model)
         assert abs(coincidence_stats(dist).p_pair_equal - 1.0) < 1e-12
@@ -248,8 +248,8 @@ class TestEvaluateAndSample:
         sources = tuple(HiddenSource.uniform(500) for _ in range(3))
         table = np.zeros((500, 500, 4))
         table[:, :, 0] = 1.0
-        responses = tuple(ResponseTable(i, table) for i in range(3))
-        model = RingLocalModel("polygon", 3, sources, responses)
+        responses = (ResponseTable(table),) * 3
+        model = RingLocalModel(_TRIANGLE, sources, responses)
         with pytest.raises(CapacityError):
             evaluate_model(model)
 
@@ -278,6 +278,11 @@ class TestEvaluateAndSample:
         with pytest.raises(DomainError):
             sample_model(q_model(0.5), 0)
 
+    def test_non_integer_shots_rejected(self):
+        # Before the integer gate, 2.5 shots died in numpy with a TypeError.
+        with pytest.raises(DomainError, match="shots"):
+            sample_model(q_model(0.5), 2.5)
+
     def test_sampling_deterministic(self):
         a = sample_model(asymmetric_model(), 1000, seed=5).probs
         b = sample_model(asymmetric_model(), 1000, seed=5).probs
@@ -287,35 +292,81 @@ class TestEvaluateAndSample:
 class TestModelValidation:
     def test_source_weights_must_normalise(self):
         with pytest.raises(ValidationError):
-            HiddenSource(2, np.array([0.6, 0.6]))
+            HiddenSource(np.array([0.6, 0.6]))
 
     def test_response_rows_must_normalise(self):
         with pytest.raises(ValidationError):
-            ResponseTable(0, np.full((2, 2, 4), 0.3))
+            ResponseTable(np.full((2, 2, 4), 0.3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_source_weights_must_be_finite(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            HiddenSource(2, np.array([bad, bad]))
+            HiddenSource(np.array([bad, bad]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_response_rows_must_be_finite(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            ResponseTable(0, np.full((2, 2, 4), bad))
+            ResponseTable(np.full((2, 2, 4), bad))
 
     def test_arity_mismatch(self):
         source = HiddenSource.uniform(2)
-        table = ResponseTable(0, np.full((2, 2, 4), 0.25))
+        table = ResponseTable(np.full((2, 2, 4), 0.25))
         with pytest.raises(DomainError):
-            RingLocalModel("polygon", 3, (source,) * 2, (table,) * 3)
+            RingLocalModel(_TRIANGLE, (source,) * 2, (table,) * 3)
 
     def test_json_round_trip(self):
         model = q_model(0.25)
         restored = model_from_json_dict(model_to_json_dict(model))
-        assert restored.kind == model.kind
+        assert restored.topology == model.topology
         assert np.max(np.abs(
             evaluate_model(restored).probs - evaluate_model(model).probs
         )) < 1e-15
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(mixed_models(min_line=1, max_parties=5))
+    def test_json_round_trip_is_bit_equal(self, model):
+        restored = model_from_json_dict(model_to_json_dict(model))
+        assert restored.topology == model.topology
+        for a, b in zip(restored.sources, model.sources, strict=True):
+            assert np.array_equal(a.weights, b.weights)
+        for a, b in zip(restored.responses, model.responses, strict=True):
+            assert np.array_equal(a.table, b.table)
+        assert np.array_equal(evaluate_model(restored).probs, evaluate_model(model).probs)
+
+    def test_json_party_is_its_position(self):
+        payload = model_to_json_dict(asymmetric_model())
+        assert [r["party"] for r in payload["responses"]] == [0, 1, 2]
+        payload["responses"][0]["party"] = 2
+        with pytest.raises(ValidationError, match="party"):
+            model_from_json_dict(payload)
+
+    @pytest.mark.parametrize("card", [3, 2.5, "2"])
+    def test_json_card_must_count_the_weights(self, card):
+        payload = model_to_json_dict(asymmetric_model())
+        payload["sources"][1]["card"] = card
+        with pytest.raises(ValidationError, match="card"):
+            model_from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "missing, extra",
+        [(["(1,1)"], []), (["(1,0)", "(1,1)"], []), ([], ["(2,0)"])],
+        ids=["one-cell", "whole-row", "extra-cell"],
+    )
+    def test_json_rows_must_be_exactly_the_cells(self, missing, extra):
+        payload = model_to_json_dict(asymmetric_model())
+        rows = payload["responses"][1]["rows"]
+        for key in missing:
+            del rows[key]
+        for key in extra:
+            rows[key] = [1.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="cells"):
+            model_from_json_dict(payload)
+
+    def test_uniform_source_needs_a_positive_integer(self):
+        assert HiddenSource.uniform(np.int64(3)).cardinality == 3
+        for bad in (0, 2.5):
+            with pytest.raises(DomainError, match="cardinality"):
+                HiddenSource.uniform(bad)
 
 
 class TestExhaustiveSearch:

@@ -268,6 +268,15 @@ class TestEventProbability:
         with pytest.raises(UnknownEventError):
             event_probability(polygon(3), ejm, "all-different")
 
+    @pytest.mark.parametrize(
+        "event",
+        ["all_equal", ("prefix_equal", 2), ("specific", (1, 2, 3))],
+        ids=["all_equal", "prefix_equal", "specific"],
+    )
+    def test_one_spelling_per_event(self, ejm, event):
+        with pytest.raises(UnknownEventError):
+            event_probability(polygon(3), ejm, event)
+
     def test_capacity_bound(self, ejm):
         with pytest.raises(CapacityError):
             event_probability(polygon(65), ejm, "all-equal")
@@ -388,6 +397,25 @@ class TestPatternClasses:
         for n in range(2, 7):
             for top in (open_line(n), polygon(n)):
                 assert_same_classes(joint_distribution_naive(top, basis))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_form_polygon(3.5),
+        lambda: joint_distribution_naive(polygon(3), basis_by_name("ejm")).prob((1.5, 2, 3)),
+        lambda: event_probability(polygon(4), basis_by_name("ejm"), ("prefix-equal", 2.7)),
+        lambda: dyadic_reconstruct(0.25, 2.9),
+        lambda: table2_rows(2.5),
+        lambda: line_all_equal_dyadic(2.5),
+    ],
+    ids=["closed-form", "outcome", "prefix-length", "dyadic-exponent", "table2", "line-dyadic"],
+)
+def test_non_integer_argument_rejected(call):
+    # Without the integer gate these returned a complex number, truncated
+    # the float, or died in range() with a TypeError.
+    with pytest.raises(DomainError, match="integer"):
+        call()
 
 
 class TestTopologyType:
