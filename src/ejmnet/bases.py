@@ -9,6 +9,7 @@ and JSON serialization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,12 +186,21 @@ _BASIS_FACTORIES = {
 BASIS_NAMES = tuple(_BASIS_FACTORIES)
 
 
+@functools.cache
+def _named_basis(key: str) -> TwoQubitBasis:
+    return _BASIS_FACTORIES[key]()
+
+
 def basis_by_name(name: str) -> TwoQubitBasis:
-    """Look up a basis constructor by its short CLI name (ejm, ejmz, mp, bsm)."""
-    try:
-        return _BASIS_FACTORIES[name.lower()]()
-    except KeyError:
-        raise DomainError(f"unknown basis {name!r}; choose from {BASIS_NAMES}") from None
+    """The basis with a short CLI name (ejm, ejmz, mp, bsm), any case.
+
+    Every call with the same name returns one shared instance, built on
+    first use; a basis is frozen and its states read-only.
+    """
+    key = name.lower() if isinstance(name, str) else None
+    if key not in _BASIS_FACTORIES:
+        raise DomainError(f"unknown basis {name!r}; choose from {BASIS_NAMES}")
+    return _named_basis(key)
 
 
 def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> BasisDiagnostics:

@@ -30,10 +30,16 @@ def integer_in_range(value, what: str, low: int, high: int | None = None) -> int
     """``value`` as an int; DomainError unless it is an integer in ``low..high``.
 
     ``high=None`` leaves the range open above.  numpy integers pass; floats,
-    strings and other non-``numbers.Integral`` values do not, even 2.0.
+    strings, ``bool`` and other non-``numbers.Integral`` values do not, even
+    2.0 or True.
     """
     bound = f">= {low}" if high is None else f"in {low}..{high}"
-    if not isinstance(value, numbers.Integral) or value < low or (high is not None and value > high):
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < low
+        or (high is not None and value > high)
+    ):
         raise DomainError(f"{what} must be an integer {bound}, got {value!r}")
     return int(value)
 

@@ -118,9 +118,18 @@ class RingLocalModel:
     responses: tuple[ResponseTable, ...]
 
     def __post_init__(self):
+        top = self.topology
+        if not isinstance(top, NetworkTopology):
+            raise DomainError(f"model topology must be a NetworkTopology, got {top!r}")
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "responses", tuple(self.responses))
-        top = self.topology
+        for what, parts, kind in (
+            ("source", self.sources, HiddenSource),
+            ("response", self.responses, ResponseTable),
+        ):
+            for i, part in enumerate(parts):
+                if not isinstance(part, kind):
+                    raise DomainError(f"{what} {i} must be a {kind.__name__}, got {part!r}")
         if len(self.sources) != top.n_sources:
             raise DomainError(
                 f"{top.kind} model with {top.n_parties} parties needs "

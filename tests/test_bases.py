@@ -15,6 +15,7 @@ from ejmnet import (
     singlet,
     antipode_state,
     bloch_to_state,
+    ejm_basis,
     tensor,
     tetrahedron_vectors,
     validate_basis,
@@ -142,6 +143,16 @@ class TestValidateBasis:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             basis_by_name("chsh")
+
+    @pytest.mark.parametrize("name", [3, None])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(DomainError, match="unknown basis"):
+            basis_by_name(name)
+
+    def test_named_basis_is_one_shared_read_only_instance(self):
+        assert basis_by_name("EJM") is basis_by_name("ejm")
+        assert not basis_by_name("ejm").states.flags.writeable
+        assert ejm_basis() is not ejm_basis()
 
 
 class TestSerialization:

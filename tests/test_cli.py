@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ejmnet
 from ejmnet import (
     JointDistribution,
     basis_by_name,
@@ -20,7 +25,7 @@ from ejmnet import (
     open_line,
     polygon,
 )
-from ejmnet.cli import _emit_table, main
+from ejmnet.cli import _emit_table, _parser, build_parser, main
 
 BASES = ["ejm", "ejmz", "mp", "bsm"]
 TOPOLOGIES = st.one_of(st.integers(1, 5).map(open_line), st.integers(2, 5).map(polygon))
@@ -307,3 +312,60 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "triangle", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text(encoding="utf-8"))["distribution"]["n"] == 3
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; no parse leaves state on it."""
+
+    def test_defaults_survive_a_parse(self, capsys):
+        assert _parser().parse_args(["line", "--n", "3", "--basis", "mp"]).basis == "mp"
+        assert _parser().parse_args(["line", "--n", "3"]).basis == "ejm"
+        run_cli(capsys, "line", "--n", "3", "--basis", "mp")
+        _, out, _ = run_cli(capsys, "line", "--n", "3")
+        assert json.loads(out)["distribution"]["basis"] == "EJM"
+
+    def test_repeated_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["line", "--help"], ["--help"], ["line", "--help"]):
+            assert main(argv) == 0
+
+    def test_unknown_option_after_a_good_parse(self, capsys):
+        assert run_cli(capsys, "line", "--n", "3", "--event", "all-equal")[0] == 0
+        assert run_cli(capsys, "line", "--n", "3", "--bogus")[0] == 64
+        code, out, _ = run_cli(capsys, "line", "--n", "3", "--event", "all-equal")
+        assert code == 0 and json.loads(out)["basis"] == "EJM"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["triangle", "--format", "csv"],
+            ["line", "--n", "3", "--basis", "mp"],
+            ["polygon", "--n", "5", "--event", "prefix:2"],
+            ["table2", "--max-n", "4"],
+            ["stats", "--topology", "line"],
+            ["qmodel", "--audit"],
+            ["asym"],
+            ["search", "--method", "anneal", "--seed", "7"],
+            ["bell-check", "--target", "pr-box"],
+            ["verify-all", "--no-lp"],
+        ],
+    )
+    def test_shared_parse_equals_a_fresh_parser(self, argv):
+        _parser().parse_args(["line", "--n", "9", "--basis", "bsm", "--event", "all-equal"])
+        assert _parser().parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_nothing_built_at_import(self):
+        probe = (
+            "import ejmnet.cli, ejmnet.bases; "
+            "print(ejmnet.cli._parser.cache_info().currsize, "
+            "ejmnet.bases._named_basis.cache_info().currsize)"
+        )
+        src = str(Path(ejmnet.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.split() == ["0", "0"]

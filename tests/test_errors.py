@@ -10,7 +10,12 @@ from ejmnet import (
     ResponseTable,
     ValidationError,
     bell_lp_check,
+    ejm_basis,
+    event_probability,
+    open_line,
     polygon,
+    q_model,
+    sample_model,
     uniform_target,
 )
 from ejmnet.errors import integer_in_range, probability_array
@@ -119,6 +124,20 @@ def test_integer_gate():
     assert integer_in_range(np.int64(3), "n", 1, 4) == 3
     assert type(integer_in_range(np.int32(3), "n", 1)) is int
     assert integer_in_range(10**6, "n", 0) == 10**6
-    for bad in (2.0, 2.5, "2", None, 0, 5, np.int64(-1)):
+    for bad in (2.0, 2.5, "2", None, 0, 5, np.int64(-1), True):
         with pytest.raises(DomainError, match="n must be an integer in 1..4"):
             integer_in_range(bad, "n", 1, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: open_line(True),
+        lambda: sample_model(q_model(0.5), True),
+        lambda: event_probability(polygon(4), ejm_basis(), ("prefix-equal", True)),
+    ],
+    ids=["open_line", "sample_model", "prefix-equal"],
+)
+def test_a_flag_is_not_a_count(call):
+    with pytest.raises(DomainError, match="got True"):
+        call()

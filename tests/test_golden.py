@@ -82,12 +82,26 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.skipif(
+pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (NUMPY_VERSION, SCIPY_VERSION),
     reason=f"digests were taken with numpy {NUMPY_VERSION}, scipy {SCIPY_VERSION}",
 )
-@pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
-def test_stdout_digest(capsys, command, digest):
+
+
+def stdout_digest(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pinned
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
+def test_stdout_digest(capsys, command, digest):
+    assert stdout_digest(capsys, command) == digest
+
+
+@pinned
+def test_digests_hold_forwards_then_in_reverse(capsys):
+    """What one call leaves cached in the process does not change another's stdout."""
+    for command, digest in GOLDEN + GOLDEN[::-1]:
+        assert stdout_digest(capsys, command) == digest, command

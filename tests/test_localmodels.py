@@ -314,6 +314,26 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             RingLocalModel(_TRIANGLE, (source,) * 2, (table,) * 3)
 
+    @pytest.mark.parametrize(
+        "part, match",
+        [("topology", "NetworkTopology"), ("sources", "source 0"), ("responses", "response 0")],
+    )
+    def test_parts_must_have_their_types(self, part, match):
+        parts = {
+            "topology": _TRIANGLE,
+            "sources": (HiddenSource.uniform(2),) * 3,
+            "responses": (ResponseTable(np.full((2, 2, 4), 0.25)),) * 3,
+        }
+        # A polygon's name, bare weights and bare tables in place of the objects.
+        raw = {
+            "topology": "polygon",
+            "sources": ([0.5, 0.5],) * 3,
+            "responses": (np.full((2, 2, 4), 0.25),) * 3,
+        }
+        parts[part] = raw[part]
+        with pytest.raises(DomainError, match=match):
+            RingLocalModel(**parts)
+
     def test_json_round_trip(self):
         model = q_model(0.25)
         restored = model_from_json_dict(model_to_json_dict(model))
