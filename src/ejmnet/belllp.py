@@ -5,10 +5,13 @@ obtained from a four-party open singlet chain when the end parties' random
 outcomes are read as inputs of the middle parties.  The local set is the
 convex hull of the 256 x 256 products of deterministic single-party
 strategies.  One LP over a working set of vertices, grown by column
-generation with an exact best-response oracle, decides both verdicts: a
-positive optimum certifies NONLOCAL with a separating functional, and
-otherwise the LP duals are convex weights, LOCAL only if the full vertex
-matrix reconstructs the target from them.
+generation with an exact best-response oracle, decides both verdicts.  It
+finds the L1 distance from the target to the working hull in weights form,
+257 sparse equality rows (one per behaviour entry and one for the weight
+sum).  A positive optimum certifies NONLOCAL with the separating functional
+read off the duals of the behaviour rows; otherwise the primal is a set of
+convex weights, LOCAL only if the full vertex matrix reconstructs the
+target from them.
 
 Behaviours are arrays of shape (4, 4, 4, 4) indexed [x, y, a, b] holding
 p(a, b | x, y); each (x, y) slice must be a probability distribution.
@@ -42,7 +45,8 @@ class LocalityCertificate:
     """Re-verifiable outcome of a membership query.
 
     LOCAL certificates carry convex weights over the 65536 deterministic
-    strategy pairs; NONLOCAL ones carry a separating functional together
+    strategy pairs, the master LP's primal solution; NONLOCAL ones carry a
+    separating functional, the duals of its 256 behaviour rows, together
     with its maximum over the local vertices (the classical bound) and its
     value on the target.  ``columns`` counts the vertices the master LP
     ended with and ``rounds`` its solves.
@@ -88,6 +92,24 @@ def _pair_values(functional: np.ndarray) -> np.ndarray:
     )
 
 
+def _master_matrix(columns: np.ndarray) -> sparse.csc_matrix:
+    """``A_eq`` of the master LP: [V_C, I, -I] over 256 behaviour rows and the weight-sum row.
+
+    Vertex column k holds ones at rows ((x*4 + y)*4 + S_i(x))*4 + S_j(y) for
+    the pair (i, j) = divmod(columns[k], 256), in ascending order, and a one
+    in row 256; the two identities carry the slacks u+ and u-.
+    """
+    k = columns.size
+    f = _strategies()
+    left, right = np.arange(4) * 64 + f * 4, np.arange(4) * 16 + f  # [i, x], [j, y]
+    cells = left[columns // 256][:, :, None] + right[columns % 256][:, None, :]
+    vertex_rows = np.hstack([cells.reshape(k, 16), np.full((k, 1), 256)])
+    indices = np.concatenate([vertex_rows.ravel(), np.tile(np.arange(256), 2)])
+    data = np.concatenate([np.ones(17 * k + 256), -np.ones(256)])
+    indptr = np.concatenate([np.arange(k + 1) * 17, 17 * k + np.arange(1, 513)])
+    return sparse.csc_matrix((data, indices, indptr), shape=(257, k + 512))
+
+
 def _behaviour(target) -> np.ndarray:
     """``target`` as a flat (256,) array; ValidationError unless each (x, y) slice sums to 1."""
     p = finite_array(target, "target")
@@ -99,13 +121,16 @@ def _behaviour(target) -> np.ndarray:
 def bell_lp_check(target) -> LocalityCertificate:
     """Decide membership of a behaviour in the local polytope.
 
-    The master LP maximises f . p - s over f in [-1, 1]^256 with f . v <= s
-    on the working vertices v (the L1 distance from p to their hull); each
-    round adds every pair that is either party's best response to f and
-    beats s.  INCONCLUSIVE flags a solver failure or a void margin or fit.
+    The master LP minimises 1 . u+ + 1 . u- subject to V_C w + u+ - u- = p
+    and 1 . w = 1 over w, u+, u- >= 0: the L1 distance from p to the hull of
+    the working vertices V_C, as 257 sparse equality rows.  Its duals on the
+    256 behaviour rows are a functional f in [-1, 1]^256 and minus the dual
+    on the sum row is its level s, with f . v <= s on every working vertex.
+    Each round adds every pair that is either party's best response to f
+    and beats s.  INCONCLUSIVE flags a solver failure or a void margin or fit.
     """
     p = _behaviour(target)
-    onehot = np.eye(4)[_strategies()]
+    b_eq = np.append(p, 1.0)
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
     while True:
@@ -118,19 +143,17 @@ def bell_lp_check(target) -> LocalityCertificate:
         if fresh.size == 0:
             break
         columns, rounds = np.concatenate([columns, fresh]), rounds + 1
-        vertices = np.einsum("kxa,kyb->kxyab", onehot[columns // 256], onehot[columns % 256])
         master = linprog(
-            np.append(-p, 1.0),
-            A_ub=np.hstack([vertices.reshape(-1, 256), -np.ones((columns.size, 1))]),
-            b_ub=np.zeros(columns.size),
-            bounds=[(-1, 1)] * 256 + [(None, None)],
+            np.concatenate([np.zeros(columns.size), np.ones(512)]),
+            A_eq=_master_matrix(columns),
+            b_eq=b_eq,
             method="highs",
         )
         if master.status != 0:
             return LocalityCertificate(
                 INCONCLUSIVE, solver_status=master.message, columns=columns.size, rounds=rounds
             )
-        functional, level = master.x[:256], master.x[256]
+        functional, level = master.eqlin.marginals[:256], -master.eqlin.marginals[256]
     run = {"solver_status": master.message, "columns": columns.size, "rounds": rounds}
     classical_bound = float(values.max())
     target_value = float(functional @ p)
@@ -145,7 +168,7 @@ def bell_lp_check(target) -> LocalityCertificate:
             **run,
         )
     weights = np.zeros(65536)
-    weights[columns] = np.maximum(-master.ineqlin.marginals, 0.0)
+    weights[columns] = np.maximum(master.x[: columns.size], 0.0)
     weights /= weights.sum()
     residual = float(np.max(np.abs(_vertex_matrix() @ weights - p)))
     verdict = LOCAL if residual < RECONSTRUCTION_ATOL else INCONCLUSIVE

@@ -236,24 +236,41 @@ def _cmd_table2(args) -> int:
     return 0
 
 
+# A stats report and one of its pattern classes as
+# json.dumps(indent=2, sort_keys=True) prints them.
+_JSON_STATS = (
+    '{\n  "basis": %(basis)s,\n  "n": %(n)s,\n  "p_all_equal": %(p_all_equal)s,\n'
+    '  "p_cond_pair": %(p_cond_pair)s,\n  "p_cond_triple": %(p_cond_triple)s,\n'
+    '  "p_pair_equal": %(p_pair_equal)s,\n  "pattern_classes": {\n%(pattern_classes)s\n  },\n'
+    '  "reproduces": %(reproduces)s,\n  "topology": %(topology)s\n}\n'
+)
+_JSON_PATTERN_CLASS = (
+    '    "%s": {\n      "count": %d,\n      "max": %r,\n      "min": %r,\n      "total": %r\n    }'
+)
+
+
 def _cmd_stats(args) -> int:
     top = open_line(args.n) if args.topology == "line" else polygon(args.n)
     dist = joint_distribution_naive(top, basis_by_name(args.basis))
     stats = coincidence_stats(dist)
-    _emit_json(
-        args,
-        {
-            "reproduces": "pair/triple coincidence rates and coincidence-pattern classes",
-            "topology": top.kind,
-            "n": top.n_parties,
-            "basis": dist.basis_label,
-            "p_pair_equal": stats.p_pair_equal,
-            "p_all_equal": stats.p_all_equal,
-            "p_cond_pair": stats.p_cond_pair,
-            "p_cond_triple": stats.p_cond_triple,
-            "pattern_classes": stats.pattern_classes,
-        },
+    payload = {
+        "reproduces": "pair/triple coincidence rates and coincidence-pattern classes",
+        "topology": top.kind,
+        "n": top.n_parties,
+        "basis": dist.basis_label,
+        "p_pair_equal": stats.p_pair_equal,
+        "p_all_equal": stats.p_all_equal,
+        "p_cond_pair": stats.p_cond_pair,
+        "p_cond_triple": stats.p_cond_triple,
+    }
+    text = {key: json.dumps(value) for key, value in payload.items()}
+    # Thousands of pattern classes at N = 8 go through the template, as in
+    # _emit_table, since json.dumps with an indent cannot use the C encoder.
+    text["pattern_classes"] = ",\n".join(
+        _JSON_PATTERN_CLASS % (key, c["count"], c["max"], c["min"], c["total"])
+        for key, c in sorted(stats.pattern_classes.items())
     )
+    _write(args, _JSON_STATS % text)
     return 0
 
 

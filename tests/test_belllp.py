@@ -1,3 +1,6 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from ejmnet import (
+    INCONCLUSIVE,
     LOCAL,
     NONLOCAL,
     ValidationError,
@@ -16,7 +20,10 @@ from ejmnet import (
     uniform_target,
     verify_certificate,
 )
-from ejmnet.belllp import _pair_values, _vertex_matrix
+from ejmnet import belllp
+from ejmnet.bases import basis_by_name
+from ejmnet.belllp import _master_matrix, _pair_values, _vertex_matrix
+from ejmnet.cli import main
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -103,6 +110,8 @@ class TestMembership:
         functional = certificate.functional.ravel()
         vertex_values = _vertex_matrix().T @ functional
         assert float(functional @ target.ravel()) - float(vertex_values.max()) > 1e-9
+        assert abs(verify_certificate(certificate, target)["margin"] - certificate.margin) <= 1e-12
+        assert np.max(np.abs(functional)) <= 1.0 + 1e-9
 
     def test_malformed_target_rejected(self):
         with pytest.raises(ValidationError):
@@ -146,6 +155,7 @@ class TestColumnGeneration:
         check = verify_certificate(certificate, target)
         assert abs(check["margin"] - certificate.margin) < 1e-12
         assert check["margin"] > 1e-9
+        assert np.max(np.abs(certificate.functional)) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("v", [1.0, 0.7])
     def test_margin_is_the_full_lp_optimum(self, v):
@@ -164,3 +174,75 @@ class TestVertexMatrix:
         # Column 0: both parties always answer 0.
         col = np.asarray(v[:, 0].todense()).ravel().reshape(4, 4, 4, 4)
         assert col[0, 0, 0, 0] == 1 and col[1, 2, 0, 0] == 1 and col[0, 0, 1, 0] == 0
+
+
+LOCAL_TARGETS = {
+    "ejm-line": line_conditional_target,
+    "uniform": uniform_target,
+    **{
+        f"chain-{name}": (lambda name=name: line_conditional_target(basis_by_name(name)))
+        for name in ("ejmz", "mp", "bsm")
+    },
+    **{
+        f"mixture-{k}": (lambda k=k: vertex_mixture(np.random.default_rng(k), k))
+        for k in (3, 20, 60)
+    },
+}
+
+
+class TestMaster:
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(SEEDS, st.integers(min_value=1, max_value=300))
+    def test_matrix_is_vertices_sum_row_and_slacks(self, seed, k):
+        columns = np.random.default_rng(seed).choice(65536, size=k, replace=False)
+        a = _master_matrix(columns)
+        assert a.shape == (257, k + 512)
+        assert a.has_sorted_indices
+        dense = a.toarray()
+        assert np.array_equal(dense[:256, :k], _vertex_matrix()[:, columns].toarray())
+        assert np.all(dense[256, :k] == 1)
+        slacks = np.vstack([np.hstack([np.eye(256), -np.eye(256)]), np.zeros((1, 512))])
+        assert np.array_equal(dense[:, k:], slacks)
+
+    @pytest.mark.parametrize("name", LOCAL_TARGETS)
+    def test_local_weights_are_a_basic_solution_on_the_working_columns(self, monkeypatch, name):
+        built = []
+        monkeypatch.setattr(
+            belllp, "_master_matrix", lambda columns: built.append(columns) or _master_matrix(columns)
+        )
+        certificate = bell_lp_check(LOCAL_TARGETS[name]())
+        assert certificate.verdict == LOCAL
+        weights = certificate.weights
+        assert weights.min() >= 0.0
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        support = np.flatnonzero(weights)
+        assert np.isin(support, built[-1]).all()
+        assert built[-1].size == certificate.columns
+        assert support.size <= 257
+
+
+class TestInconclusive:
+    def failed_solve(self, *args, **kwargs):
+        return SimpleNamespace(status=2, message="The problem is infeasible.")
+
+    def test_solver_failure(self, monkeypatch):
+        monkeypatch.setattr(belllp, "linprog", self.failed_solve)
+        certificate = bell_lp_check(uniform_target())
+        assert certificate.verdict == INCONCLUSIVE
+        assert certificate.solver_status == "The problem is infeasible."
+        assert certificate.rounds == 1 and certificate.columns > 0
+        assert certificate.weights is None and certificate.functional is None
+
+    def test_solver_failure_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(belllp, "linprog", self.failed_solve)
+        assert main(["bell-check", "--target", "uniform"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == INCONCLUSIVE
+        assert payload["solver_status"] == "The problem is infeasible."
+
+    def test_void_fit(self, monkeypatch):
+        monkeypatch.setattr(belllp, "RECONSTRUCTION_ATOL", 0.0)
+        certificate = bell_lp_check(line_conditional_target())
+        assert certificate.verdict == INCONCLUSIVE
+        assert 0.0 <= certificate.reconstruction_residual < 1e-8
+        assert certificate.weights is not None and certificate.functional is None

@@ -19,6 +19,7 @@ from ejmnet import (
     JointDistribution,
     basis_by_name,
     basis_to_json_dict,
+    coincidence_stats,
     distribution_to_json_dict,
     ejm_basis,
     joint_distribution_naive,
@@ -148,6 +149,31 @@ class TestTableEmitter:
         assert fields > 0
 
 
+class TestStatsCommand:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.sampled_from(["line", "polygon"]), st.integers(2, 6), st.sampled_from(BASES))
+    def test_matches_json_dumps(self, topology, n, name):
+        argv = ["stats", "--topology", topology, "--n", str(n), "--basis", name]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        top = open_line(n) if topology == "line" else polygon(n)
+        dist = joint_distribution_naive(top, basis_by_name(name))
+        stats = coincidence_stats(dist)
+        payload = {
+            "reproduces": "pair/triple coincidence rates and coincidence-pattern classes",
+            "topology": top.kind,
+            "n": n,
+            "basis": dist.basis_label,
+            "p_pair_equal": stats.p_pair_equal,
+            "p_all_equal": stats.p_all_equal,
+            "p_cond_pair": stats.p_cond_pair,
+            "p_cond_triple": stats.p_cond_triple,
+            "pattern_classes": stats.pattern_classes,
+        }
+        assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestTable2Command:
     def test_matches_reference_values(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--max-n", "10")
@@ -267,6 +293,14 @@ class TestVerifyAllCommand:
         payload = json.loads(out)
         assert payload["failed"] == 0
         assert "PASS" in err
+
+    def test_membership_lps_run_and_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-all")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["passed"], payload["failed"]) == (12, 0)
+        names = {check["name"] for check in payload["checks"]}
+        assert {"line4-bell-membership", "pr-box-separation"} <= names
 
     def test_absurd_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify-all", "--no-lp", "--tol", "1e-20")

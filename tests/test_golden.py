@@ -50,7 +50,7 @@ GOLDEN = [
         "--steps 1000",
         "cf42973d1d17ebeb62f669e0e14d730a8fa72b2eadc006a14464de8eec780928",
     ),
-    ("bell-check --target pr-box", "9dad03140539b1b41b57fb439d4240c54447097e08c567e969fdc7915e2a2ad8"),
+    ("bell-check --target pr-box", "fd68f05f9b8435c21df9c5ef7513be9e7145f664a3c6ef4816d37f6cc4dcc53f"),
     ("search --method exhaustive", "8003cda7c79653096127503953a5e07ea719e72661f287e0224a7d809890b8e1"),
     (
         "search --method exhaustive --optimize-weights",
