@@ -214,14 +214,14 @@ def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> B
     finite_array(np.abs(states), f"basis {basis.label!r} amplitudes")
     gram = states @ states.conj().T
     deviation = np.abs(gram - np.eye(4))
-    worst = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+    worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(deviation)), deviation.shape))
     residual = float(deviation[worst])
     if residual > atol:
         raise ValidationError(
             f"basis {basis.label!r} is not orthonormal: Gram entry {worst} "
             f"deviates by {residual:.6g}",
             residual=residual,
-            detail={"worst_pair": (int(worst[0]), int(worst[1]))},
+            detail={"worst_pair": worst},
         )
 
     first = np.array([partial_bloch(s, "first") for s in states])
@@ -235,7 +235,7 @@ def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> B
     return BasisDiagnostics(
         label=basis.label,
         gram_residual=residual,
-        worst_pair=(int(worst[0]), int(worst[1])),
+        worst_pair=worst,
         partial_bloch_first=first,
         partial_bloch_second=second,
         partial_bloch_norms=norms,

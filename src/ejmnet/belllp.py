@@ -11,7 +11,8 @@ finds the L1 distance from the target to the working hull in weights form,
 sum).  A positive optimum certifies NONLOCAL with the separating functional
 read off the duals of the behaviour rows; otherwise the primal is a set of
 convex weights, LOCAL only if the full vertex matrix reconstructs the
-target from them.
+target from them.  That one sparse vertex matrix also prices the best
+responses and supplies the master's columns.
 
 Behaviours are arrays of shape (4, 4, 4, 4) indexed [x, y, a, b] holding
 p(a, b | x, y); each (x, y) slice must be a probability distribution.
@@ -84,30 +85,16 @@ def _vertex_matrix() -> sparse.csc_matrix:
     return sparse.csc_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(256, 65536))
 
 
-def _pair_values(functional: np.ndarray) -> np.ndarray:
-    """f . v on every vertex: [i, j] = sum_{x,y} f[x, y, S_i(x), S_j(y)], shape (256, 256)."""
-    onehot = np.eye(4)[_strategies()]  # [i, x, a]
-    return np.einsum(
-        "ixa,xyab,jyb->ij", onehot, functional.reshape(4, 4, 4, 4), onehot, optimize=True
-    )
-
-
 def _master_matrix(columns: np.ndarray) -> sparse.csc_matrix:
     """``A_eq`` of the master LP: [V_C, I, -I] over 256 behaviour rows and the weight-sum row.
 
-    Vertex column k holds ones at rows ((x*4 + y)*4 + S_i(x))*4 + S_j(y) for
-    the pair (i, j) = divmod(columns[k], 256), in ascending order, and a one
-    in row 256; the two identities carry the slacks u+ and u-.
+    V_C is the ``columns`` of :func:`_vertex_matrix` with a one appended in
+    row 256; the two identities carry the slacks u+ and u-.
     """
-    k = columns.size
-    f = _strategies()
-    left, right = np.arange(4) * 64 + f * 4, np.arange(4) * 16 + f  # [i, x], [j, y]
-    cells = left[columns // 256][:, :, None] + right[columns % 256][:, None, :]
-    vertex_rows = np.hstack([cells.reshape(k, 16), np.full((k, 1), 256)])
-    indices = np.concatenate([vertex_rows.ravel(), np.tile(np.arange(256), 2)])
-    data = np.concatenate([np.ones(17 * k + 256), -np.ones(256)])
-    indptr = np.concatenate([np.arange(k + 1) * 17, 17 * k + np.arange(1, 513)])
-    return sparse.csc_matrix((data, indices, indptr), shape=(257, k + 512))
+    eye = sparse.identity(256)
+    behaviour_rows = sparse.hstack([_vertex_matrix()[:, columns], eye, -eye])
+    sum_row = np.concatenate([np.ones(columns.size), np.zeros(512)])
+    return sparse.vstack([behaviour_rows, sum_row[None, :]], format="csc")
 
 
 def _behaviour(target) -> np.ndarray:
@@ -134,7 +121,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
     while True:
-        values = _pair_values(functional)
+        values = (_vertex_matrix().T @ functional).reshape(256, 256)
         best = np.union1d(
             np.arange(256) * 256 + values.argmax(axis=1),
             values.argmax(axis=0) * 256 + np.arange(256),

@@ -3,8 +3,9 @@
 All output is deterministic for a fixed configuration and seed; JSON is
 emitted with sorted keys and CSV with a fixed column order, so identical
 invocations are byte-identical.  Exit codes: 0 success, 1 validation
-failure or unreadable input file, 2 capacity exceeded, 64 usage error
-(unknown subcommand or flag, or an unparseable or out-of-range flag value).
+failure, unreadable input file or unwritable ``--out`` path, 2 capacity
+exceeded, 64 usage error (unknown subcommand or flag, or an unparseable or
+out-of-range flag value).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     DomainError,
     UnknownEventError,
     ValidationError,
+    integer_in_range,
 )
 from .localmodels import (
     MAX_ALL_EQUAL,
@@ -74,7 +76,10 @@ def _read_json(path: str):
 def _write(args, text: str):
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -366,8 +371,9 @@ def _cmd_search(args) -> int:
     else:
         try:
             schedule = AnnealSchedule(steps=args.steps, cooling=args.cooling)
+            integer_in_range(args.seed, "seed", 0)
         except DomainError as exc:
-            raise UsageError(f"--steps/--cooling: {exc}") from exc
+            raise UsageError(f"--steps/--cooling/--seed: {exc}") from exc
         result = anneal_search(
             args.cardinality,
             objective,
@@ -422,7 +428,10 @@ def _cmd_bell_check(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = verify.run_all_checks(tolerance=args.tol, include_lp=not args.no_lp)
+    try:
+        results = verify.run_all_checks(tolerance=args.tol, include_lp=not args.no_lp)
+    except DomainError as exc:
+        raise UsageError(f"--tol: {exc}") from exc
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         residual = "inf" if r.residual == float("inf") else f"{r.residual:.3g}"

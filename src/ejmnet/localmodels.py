@@ -210,7 +210,7 @@ def sample_model(model: RingLocalModel, shots: int, seed: int = 42) -> JointDist
     """Empirical distribution from ``shots`` Monte-Carlo draws of the model."""
     shots = integer_in_range(shots, "shots", 1)
     top = model.topology
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_in_range(seed, "seed", 0))
     values = [
         rng.choice(s.cardinality, size=shots, p=s.weights) for s in model.sources
     ]
@@ -569,7 +569,7 @@ def anneal_search(
     maximize = objective == MAX_ALL_EQUAL
 
     n = top.n_parties
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_in_range(seed, "seed", 0))
     tables = [rng.integers(0, 4, size=(c, c)) for _ in range(n)]
     weights = [np.full(c, 1.0 / c) for _ in range(n)]
     eye4 = np.eye(4)

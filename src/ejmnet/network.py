@@ -281,8 +281,9 @@ def _parse_event(event, n_parties: int) -> int | tuple[int, ...]:
 
 
 def _clamped(p: float) -> float:
-    if p < NEGATIVE_CLAMP:
-        raise ValidationError(f"event probability {p} below clamp threshold", residual=p)
+    """``p`` clipped to [0, 1]; ValidationError if it lies outside by more than the clamp."""
+    if not NEGATIVE_CLAMP <= p <= 1.0 - NEGATIVE_CLAMP:
+        raise ValidationError(f"event probability {p} outside [0, 1] by more than the clamp", residual=p)
     return min(max(p, 0.0), 1.0)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import belllp
 from .bases import basis_by_name, ejm_basis, validate_basis
+from .errors import DomainError
 from .linalg import SQRT3, tetrahedron_vectors
 from .localmodels import (
     asymmetric_model,
@@ -189,7 +190,13 @@ def _check_pr_box_lp(tolerance):
 
 
 def run_all_checks(tolerance: float = 1e-9, include_lp: bool = True) -> list[CheckResult]:
-    """Run the full reproduction suite at the given float tolerance."""
+    """Run the full reproduction suite at the given float tolerance.
+
+    DomainError unless ``tolerance`` is finite and non-negative; a NaN or
+    negative tolerance would fail every check.
+    """
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     checks = [
         _check_basis_orthonormality,
         _check_ejm_marginals,

@@ -127,6 +127,7 @@ class TestValidateBasis:
             validate_basis(broken)
         assert abs(err.value.residual - 0.0201) < 1e-12
         assert err.value.detail["worst_pair"] == (2, 2)
+        assert "Gram entry (2, 2) deviates" in str(err.value)
 
     def test_non_finite_basis_rejected(self, ejm):
         states = ejm.states.copy()

@@ -22,7 +22,7 @@ from ejmnet import (
 )
 from ejmnet import belllp
 from ejmnet.bases import basis_by_name
-from ejmnet.belllp import _master_matrix, _pair_values, _vertex_matrix
+from ejmnet.belllp import _master_matrix, _vertex_matrix
 from ejmnet.cli import main
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -128,13 +128,6 @@ class TestMembership:
 
 
 class TestColumnGeneration:
-    @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(SEEDS)
-    def test_oracle_matches_vertex_matrix(self, seed):
-        f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=256)
-        expected = (_vertex_matrix().T @ f).reshape(256, 256)
-        assert np.max(np.abs(_pair_values(f) - expected)) < 1e-12
-
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(SEEDS, st.integers(min_value=1, max_value=8))
     def test_vertex_mixtures_are_local(self, seed, k):

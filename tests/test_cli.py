@@ -26,6 +26,7 @@ from ejmnet import (
     open_line,
     polygon,
 )
+from ejmnet import verify
 from ejmnet.cli import _emit_table, _parser, build_parser, main
 
 BASES = ["ejm", "ejmz", "mp", "bsm"]
@@ -244,6 +245,7 @@ class TestValidateCommand:
         report = json.loads(out)
         key = f"file:{path}"
         assert report["bases"][key]["ok"] is False
+        assert "Gram entry (0, 0) deviates" in report["bases"][key]["error"]
         assert report["bases"]["ejm"]["ok"] is True
 
 
@@ -308,6 +310,11 @@ class TestVerifyAllCommand:
         payload = json.loads(out)
         assert payload["failed"] > 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_library_rejects_unusable_tolerance(self, bad):
+        with pytest.raises(ejmnet.DomainError, match="tolerance"):
+            verify.run_all_checks(tolerance=bad, include_lp=False)
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -327,12 +334,22 @@ class TestUsageErrors:
             (["search", "--method", "anneal", "--cooling", "5.0"], 64),
             (["qmodel", "--scan", "0:1:1e-9"], 2),
             (["qmodel", "--scan", "0:1:5e-324"], 2),
+            (["triangle", "--out", "{missing_dir}"], 1),
+            (["triangle", "--out", "{directory}"], 1),
+            (["search", "--method", "anneal", "--seed", "-1"], 64),
+            (["verify-all", "--tol", "nan"], 64),
+            (["verify-all", "--tol", "-1"], 64),
         ],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, code):
         nan = tmp_path / "nan.json"
         nan.write_text("[[[[NaN]]]]", encoding="utf-8")
-        files = {"missing": tmp_path / "missing.json", "nan": nan}
+        files = {
+            "missing": tmp_path / "missing.json",
+            "nan": nan,
+            "missing_dir": tmp_path / "missing" / "out.json",
+            "directory": tmp_path,
+        }
         argv = [a.format(**files) for a in argv]
         got, out, err = run_cli(capsys, *argv)
         assert got == code

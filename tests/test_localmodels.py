@@ -283,6 +283,12 @@ class TestEvaluateAndSample:
         with pytest.raises(DomainError, match="shots"):
             sample_model(q_model(0.5), 2.5)
 
+    @pytest.mark.parametrize("bad", [-1, 2.5])
+    def test_bad_seed_rejected(self, bad):
+        # Before the integer gate, numpy's seeding raised a raw ValueError or TypeError.
+        with pytest.raises(DomainError, match="seed"):
+            sample_model(q_model(0.5), 10, seed=bad)
+
     def test_sampling_deterministic(self):
         a = sample_model(asymmetric_model(), 1000, seed=5).probs
         b = sample_model(asymmetric_model(), 1000, seed=5).probs
@@ -561,6 +567,12 @@ class TestAnnealSearch:
         # Before the check, 2.5 and 3.0 died in numpy with a TypeError.
         with pytest.raises(DomainError, match="cardinality"):
             anneal_search(bad, MAX_ALL_EQUAL)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True])
+    def test_bad_seed_rejected(self, bad):
+        # Before the integer gate, -1 and 2.5 died in numpy's seeding.
+        with pytest.raises(DomainError, match="seed"):
+            anneal_search(2, MAX_ALL_EQUAL, seed=bad, schedule=AnnealSchedule(steps=10))
 
     def test_numpy_integer_cardinality_accepted(self):
         schedule = AnnealSchedule(steps=200)

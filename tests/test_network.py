@@ -281,6 +281,15 @@ class TestEventProbability:
         with pytest.raises(CapacityError):
             event_probability(polygon(65), ejm, "all-equal")
 
+    @pytest.mark.parametrize("event", ["all-equal", (1, 1, 1)], ids=["all-equal", "tuple"])
+    def test_rejects_probability_above_one(self, ejm, event):
+        # Doubled amplitudes give probabilities 16x too large; the naive route rejects them too.
+        doubled = TwoQubitBasis("doubled", 2 * ejm.states)
+        with pytest.raises(ValidationError, match="outside"):
+            event_probability(polygon(3), doubled, event)
+        with pytest.raises(ValidationError):
+            joint_distribution_naive(polygon(3), doubled)
+
 
 class TestRingOrientation:
     @pytest.mark.parametrize("name", ["ejm", "mp"])
