@@ -208,8 +208,10 @@ def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> B
 
     Raises ValidationError, carrying the worst offending pair and its
     residual, when any Gram-matrix entry deviates from the identity by more
-    than ``atol``.
+    than ``atol``, and DomainError unless ``atol`` is finite and >= 0.
     """
+    if not (math.isfinite(atol) and atol >= 0):
+        raise DomainError(f"atol must be finite and >= 0, got {atol!r}")
     states = basis.states
     finite_array(np.abs(states), f"basis {basis.label!r} amplitudes")
     gram = states @ states.conj().T
@@ -263,6 +265,6 @@ def basis_from_json_dict(payload: dict) -> TwoQubitBasis:
         states = np.array(
             [[complex(re, im) for re, im in row] for row in rows], dtype=complex
         )
+        return TwoQubitBasis(label, states)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed basis payload: {exc}") from exc
-    return TwoQubitBasis(label, states)

@@ -2,10 +2,12 @@
 
 All output is deterministic for a fixed configuration and seed; JSON is
 emitted with sorted keys and CSV with a fixed column order, so identical
-invocations are byte-identical.  Exit codes: 0 success, 1 validation
-failure, unreadable input file or unwritable ``--out`` path, 2 capacity
-exceeded, 64 usage error (unknown subcommand or flag, or an unparseable or
-out-of-range flag value).
+invocations are byte-identical.  Exit codes, all set in :func:`main`: 0
+success, 1 validation failure, unreadable or malformed input file (a
+wrong-shape ``--basis-file`` too) or unwritable ``--out`` path, 2 capacity
+exceeded, 64 usage error: an unknown subcommand or flag, or an unparseable
+or out-of-range flag value (``--n``, ``--max-n``, ``--q``, ``--cardinality``,
+an ``--event`` prefix length or outcomes), which raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
     DomainError,
     UnknownEventError,
     ValidationError,
-    integer_in_range,
 )
 from .localmodels import (
     MAX_ALL_EQUAL,
@@ -60,10 +61,6 @@ _OBJECTIVES = {"all-equal": MAX_ALL_EQUAL, "l1": MIN_L1, "linf": MIN_LINF}
 
 # Largest q grid `qmodel --scan` evaluates (LO:HI:STEP with (HI-LO)/STEP <= 10_000).
 MAX_SCAN_POINTS = 10_001
-
-
-class UsageError(ValueError):
-    """A flag value the command cannot parse or use; exits 64."""
 
 
 def _read_json(path: str):
@@ -163,7 +160,7 @@ def _parse_event_flag(raw: str, n: int):
         if raw.startswith("tuple="):
             return tuple(int(a) for a in raw.removeprefix("tuple=").split(","))
     except ValueError as exc:
-        raise UsageError(f"--event {raw!r}: {exc}") from exc
+        raise DomainError(f"--event {raw!r}: {exc}") from exc
     raise UnknownEventError(f"unknown event {raw!r}; use all-equal, prefix:K or tuple=a,b,...")
 
 
@@ -286,9 +283,9 @@ def _cmd_qmodel(args) -> int:
         try:
             lo, hi, step = (float(x) for x in args.scan.split(":"))
         except ValueError as exc:
-            raise UsageError(f"--scan {args.scan!r} is not LO:HI:STEP") from exc
+            raise DomainError(f"--scan {args.scan!r} is not LO:HI:STEP") from exc
         if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and lo <= hi):
-            raise UsageError(f"--scan {args.scan!r} needs finite LO <= HI and STEP > 0")
+            raise DomainError(f"--scan {args.scan!r} needs finite LO <= HI and STEP > 0")
         span = (hi - lo) / step
         if not span <= MAX_SCAN_POINTS - 1:
             raise CapacityError(f"--scan {args.scan!r} exceeds {MAX_SCAN_POINTS} grid points")
@@ -369,18 +366,13 @@ def _cmd_search(args) -> int:
             "witness_all_equal": recheck,
         }
     else:
-        try:
-            schedule = AnnealSchedule(steps=args.steps, cooling=args.cooling)
-            integer_in_range(args.seed, "seed", 0)
-        except DomainError as exc:
-            raise UsageError(f"--steps/--cooling/--seed: {exc}") from exc
         result = anneal_search(
             args.cardinality,
             objective,
             target,
             topology=polygon(args.n),
             seed=args.seed,
-            schedule=schedule,
+            schedule=AnnealSchedule(steps=args.steps, cooling=args.cooling),
         )
         payload = {
             "reproduces": "stochastic probe of network-local model space",
@@ -428,10 +420,7 @@ def _cmd_bell_check(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    try:
-        results = verify.run_all_checks(tolerance=args.tol, include_lp=not args.no_lp)
-    except DomainError as exc:
-        raise UsageError(f"--tol: {exc}") from exc
+    results = verify.run_all_checks(tolerance=args.tol, include_lp=not args.no_lp)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         residual = "inf" if r.residual == float("inf") else f"{r.residual:.3g}"
@@ -562,13 +551,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 64
     try:
         return args.func(args)
-    except UsageError as exc:
+    except DomainError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 64
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return 2
-    except (ValidationError, DomainError, UnknownEventError) as exc:
+    except (ValidationError, UnknownEventError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

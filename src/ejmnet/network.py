@@ -310,7 +310,8 @@ def event_probability(top: NetworkTopology, basis: TwoQubitBasis, event) -> floa
         return _clamped(0.5 * float(np.linalg.norm(prod) ** 2))
 
     n_prefix = parsed
-    doubled = np.array([np.kron(k, k.conj()) for k in kmats])
+    # D_a = K_a kron conj(K_a) for all four outcomes in one broadcast product.
+    doubled = (kmats[:, :, None, :, None] * kmats.conj()[:, None, :, None, :]).reshape(4, 4, 4)
     rest = np.linalg.matrix_power(doubled.sum(axis=0), n - n_prefix)
     boundary = np.array([1.0, 0.0, 0.0, 1.0])
     total = 0.0
@@ -350,43 +351,34 @@ def conditional_all_equal(n: int) -> float:
     return closed_form_polygon(n) / closed_form_line(n - 1)
 
 
-def _line_numerator(n: int) -> int:
-    # (4 + 2 sqrt3)^n + (4 - 2 sqrt3)^n, integer by the recurrence
-    # x_k = 8 x_{k-1} - 4 x_{k-2}.
-    a, b = 2, 8
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, 8 * b - 4 * a
-    return b
+def _lucas(p: int, q: int, n: int) -> int:
+    """x_n of the integer recurrence x_k = p x_{k-1} - q x_{k-2}, x_0 = 2, x_1 = p.
 
-
-def _ring_trace_numerator(n: int) -> int:
-    # (-sqrt3 - 1)^n + (sqrt3 - 1)^n, integer by t_k = -2 t_{k-1} + 2 t_{k-2}.
-    a, b = 2, -2
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, -2 * b + 2 * a
-    return b
+    It is the sum of the n-th powers of the roots of t^2 - p t + q:
+    (4 +/- 2 sqrt3)^n for (p, q) = (8, 4) and (-1 +/- sqrt3)^n for (-2, -2).
+    """
+    a, b = 2, p
+    for _ in range(n):
+        a, b = b, p * b - q * a
+    return a
 
 
 def line_all_equal_dyadic(n: int) -> DyadicProbability:
     """Exact dyadic form of :func:`closed_form_line` via integer recurrence."""
     n = integer_in_range(n, "n", 1, 64)
-    return _reduced_dyadic(_line_numerator(n), 4 * n - 1)
+    return _reduced_dyadic(_lucas(8, 4, n), 4 * n - 1)
 
 
 def polygon_all_equal_dyadic(n: int) -> DyadicProbability:
     """Exact dyadic form of :func:`closed_form_polygon` via integer recurrence."""
     n = integer_in_range(n, "n", 2, 64)
-    return _reduced_dyadic(_ring_trace_numerator(n) ** 2, 4 * n - 2)
+    return _reduced_dyadic(_lucas(-2, -2, n) ** 2, 4 * n - 2)
 
 
 def conditional_all_equal_fraction(n: int) -> Fraction:
     """Exact rational form of the ring conditional; defined for n >= 2."""
     n = integer_in_range(n, "n", 2, 64)
-    return Fraction(_ring_trace_numerator(n) ** 2, 8 * _line_numerator(n - 1))
+    return Fraction(_lucas(-2, -2, n) ** 2, 8 * _lucas(8, 4, n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,12 @@ class TestValidateBasis:
         with pytest.raises(ValidationError, match="finite"):
             validate_basis(TwoQubitBasis("CUSTOM", states))
 
+    @pytest.mark.parametrize("atol", [math.nan, math.inf, -1e-3])
+    def test_unusable_atol_rejected(self, ejm, atol):
+        # A NaN or infinite atol would pass this basis, whose Gram residual is 3.
+        with pytest.raises(DomainError, match="atol"):
+            validate_basis(TwoQubitBasis("bad", 2 * ejm.states), atol=atol)
+
     def test_bloch_schmidt_consistency_identity(self):
         for name in ("ejm", "ejmz", "mp", "bsm"):
             diag = validate_basis(basis_by_name(name))
@@ -168,8 +174,11 @@ class TestSerialization:
             ejm.states[0, 0] = 1.0
 
     def test_malformed_payload(self):
-        with pytest.raises(ValidationError):
-            basis_from_json_dict({"label": "X", "states": [[1, 2], [3]]})
+        # A wrong shape too is malformed content, not a DomainError: the CLI
+        # exits 1 for a bad --basis-file and 64 only for a bad flag value.
+        for states in ([[1, 2], [3]], [[[1, 0], [0, 0]]]):
+            with pytest.raises(ValidationError, match="malformed"):
+                basis_from_json_dict({"label": "X", "states": states})
 
 
 def _aligning_rotation(source, target):

@@ -339,14 +339,34 @@ class TestUsageErrors:
             (["search", "--method", "anneal", "--seed", "-1"], 64),
             (["verify-all", "--tol", "nan"], 64),
             (["verify-all", "--tol", "-1"], 64),
+            (["line", "--n", "0"], 64),
+            (["polygon", "--n", "1"], 64),
+            (["qmodel", "--q", "2"], 64),
+            (["qmodel", "--q", "nan"], 64),
+            (["table2", "--max-n", "0"], 64),
+            (["table2", "--max-n", "65"], 64),
+            (["search", "--cardinality", "0"], 64),
+            (["search", "--method", "anneal", "--n", "6"], 64),
+            (
+                ["search", "--method", "anneal", "--n", "4", "--objective", "l1", "--target", "ejm-triangle"],
+                64,
+            ),
+            (["polygon", "--n", "5", "--event", "prefix:0"], 64),
+            (["polygon", "--n", "3", "--event", "tuple=5,1,1"], 64),
+            (["polygon", "--n", "3", "--event", "tuple=1,1"], 64),
+            (["stats", "--topology", "line", "--n", "1"], 64),
+            (["validate", "--basis-file", "{wrong_shape}"], 1),
         ],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, code):
         nan = tmp_path / "nan.json"
         nan.write_text("[[[[NaN]]]]", encoding="utf-8")
+        wrong_shape = tmp_path / "wrong_shape.json"
+        wrong_shape.write_text('{"label": "x", "states": [[[1, 0], [0, 0]]]}', encoding="utf-8")
         files = {
             "missing": tmp_path / "missing.json",
             "nan": nan,
+            "wrong_shape": wrong_shape,
             "missing_dir": tmp_path / "missing" / "out.json",
             "directory": tmp_path,
         }

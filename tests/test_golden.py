@@ -79,6 +79,11 @@ GOLDEN = [
         "line --n 3 --basis mp --format csv",
         "615d11deb6eca861d3c9bc72e8b84cfabf1c9da4ce6d8694083a087b620a5727",
     ),
+    ("line --n 12 --event prefix:5", "8e821fb5bfecf0943bef796294d7666e8073a51ba7399a22b35ef4382b262a09"),
+    (
+        "polygon --n 40 --basis mp --event all-equal",
+        "5a7b7e14d6dcb64cf900ec56572dc731e5f9a29a8d0cbc40f36c48865d486508",
+    ),
 ]
 
 
