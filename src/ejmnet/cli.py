@@ -7,7 +7,11 @@ success, 1 validation failure, unreadable or malformed input file (a
 wrong-shape ``--basis-file`` too) or unwritable ``--out`` path, 2 capacity
 exceeded, 64 usage error: an unknown subcommand or flag, or an unparseable
 or out-of-range flag value (``--n``, ``--max-n``, ``--q``, ``--cardinality``,
-an ``--event`` prefix length or outcomes), which raises :class:`DomainError`.
+an ``--event`` prefix length or outcomes, ``--n`` other than 3 for an
+exhaustive search), which raises :class:`DomainError`.
+
+Only ``bell-check`` and ``verify-all`` solve LPs, so only they load
+:mod:`ejmnet.belllp` and scipy; the other commands need numpy alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import belllp, verify
 from .bases import BASIS_NAMES, basis_by_name, basis_from_json_dict, validate_basis
 from .errors import (
     CapacityError,
@@ -154,7 +157,7 @@ def _parse_event_flag(raw: str, n: int):
     if raw == "all-equal":
         return "all-equal"
     try:
-        if raw.startswith("prefix"):
+        if raw == "prefix" or raw.startswith("prefix:"):
             _, _, count = raw.partition(":")
             return ("prefix-equal", int(count) if count else n)
         if raw.startswith("tuple="):
@@ -353,6 +356,8 @@ def _cmd_search(args) -> int:
     objective = _OBJECTIVES[args.objective]
     target = _search_target(args)
     if args.method == "exhaustive":
+        if args.n != 3:
+            raise DomainError(f"--n {args.n}: exhaustive search covers only the triangle (n = 3)")
         result = exhaustive_search(args.cardinality, objective, target, args.optimize_weights)
         recheck = coincidence_stats(evaluate_model(result.witness)).p_all_equal
         payload = {
@@ -388,7 +393,9 @@ def _cmd_search(args) -> int:
     return 0
 
 
+# Importing scipy costs ~0.6 s and ~48 MB of RSS; only the LP commands need it.
 def _cmd_bell_check(args) -> int:
+    from . import belllp
     if args.target_file:
         target = _read_json(args.target_file)
     elif args.target == "ejm-line":
@@ -420,6 +427,7 @@ def _cmd_bell_check(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import verify
     results = verify.run_all_checks(tolerance=args.tol, include_lp=not args.no_lp)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -511,10 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["none", "ejm-triangle", "ejm-triangle-coarse"],
         help="target distribution for the distance objectives",
     )
-    p.add_argument("--n", type=int, default=3, help="ring size for annealing")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--cooling", type=float, default=0.999)
+    p.add_argument("--n", type=int, default=3, help="ring size (anneal only)")
+    p.add_argument("--seed", type=int, default=42, help="random seed (anneal only)")
+    p.add_argument("--steps", type=int, default=100_000, help="annealing steps (anneal only)")
+    p.add_argument("--cooling", type=float, default=0.999, help="cooling factor (anneal only)")
     p.add_argument("--optimize-weights", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ejmnet import (
-    JointDistribution,
-    bsm_basis,
-    ejm_basis,
-    ejm_z_basis,
-    joint_distribution_naive,
-    massar_popescu_basis,
-    polygon,
-)
+from ejmnet.bases import bsm_basis, ejm_basis, ejm_z_basis, massar_popescu_basis
+from ejmnet.network import JointDistribution, joint_distribution_naive, polygon
 
 
 @pytest.fixture(scope="session")

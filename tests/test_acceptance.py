@@ -11,34 +11,39 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ejmnet import (
-    AnnealSchedule,
+from ejmnet.bases import ejm_basis, validate_basis
+from ejmnet.belllp import (
+    LOCAL,
+    NONLOCAL,
+    _vertex_matrix,
+    bell_lp_check,
+    line_conditional_target,
+    pr_box_target,
+)
+from ejmnet.linalg import tetrahedron_vectors
+from ejmnet.localmodels import (
     MAX_ALL_EQUAL,
     MIN_L1,
+    AnnealSchedule,
     anneal_search,
     asymmetric_model,
-    bell_lp_check,
-    coincidence_stats,
-    conditional_all_equal,
-    dyadic_reconstruct,
-    ejm_basis,
     evaluate_model,
-    event_probability,
     exhaustive_search,
-    joint_distribution_naive,
-    line_all_equal_dyadic,
-    line_conditional_target,
-    open_line,
-    polygon,
-    polygon_all_equal_dyadic,
-    pr_box_target,
     q_model,
     q_model_all_equal,
     q_model_flag_audit,
-    tetrahedron_vectors,
-    validate_basis,
 )
-from ejmnet.belllp import LOCAL, NONLOCAL, _vertex_matrix
+from ejmnet.network import (
+    coincidence_stats,
+    conditional_all_equal,
+    dyadic_reconstruct,
+    event_probability,
+    joint_distribution_naive,
+    line_all_equal_dyadic,
+    open_line,
+    polygon,
+    polygon_all_equal_dyadic,
+)
 
 SQRT3 = math.sqrt(3.0)
 

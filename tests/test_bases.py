@@ -3,25 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from ejmnet import (
-    PAULI,
+from ejmnet.bases import (
     TwoQubitBasis,
-    ValidationError,
     basis_by_name,
     basis_from_json_dict,
     basis_to_json_dict,
-    joint_distribution_naive,
-    polygon,
-    singlet,
-    antipode_state,
-    bloch_to_state,
     ejm_basis,
-    tensor,
-    tetrahedron_vectors,
     validate_basis,
     z_anchored_tetrahedron,
 )
-from ejmnet.errors import DomainError
+from ejmnet.errors import DomainError, ValidationError
+from ejmnet.linalg import (
+    PAULI,
+    antipode_state,
+    bloch_to_state,
+    singlet,
+    tensor,
+    tetrahedron_vectors,
+)
+from ejmnet.network import joint_distribution_naive, polygon
 
 SQRT3 = math.sqrt(3.0)
 

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from ejmnet import (
+from ejmnet import belllp
+from ejmnet.bases import basis_by_name
+from ejmnet.belllp import (
     INCONCLUSIVE,
     LOCAL,
     NONLOCAL,
-    ValidationError,
+    _master_matrix,
+    _vertex_matrix,
     bell_lp_check,
     chsh_value,
     line_conditional_target,
@@ -20,10 +23,8 @@ from ejmnet import (
     uniform_target,
     verify_certificate,
 )
-from ejmnet import belllp
-from ejmnet.bases import basis_by_name
-from ejmnet.belllp import _master_matrix, _vertex_matrix
 from ejmnet.cli import main
+from ejmnet.errors import ValidationError
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 

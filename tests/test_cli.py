@@ -15,19 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ejmnet
-from ejmnet import (
+from ejmnet import verify
+from ejmnet.bases import basis_by_name, basis_to_json_dict, ejm_basis
+from ejmnet.cli import _emit_table, _parser, build_parser, main
+from ejmnet.errors import DomainError
+from ejmnet.network import (
     JointDistribution,
-    basis_by_name,
-    basis_to_json_dict,
     coincidence_stats,
     distribution_to_json_dict,
-    ejm_basis,
     joint_distribution_naive,
     open_line,
     polygon,
 )
-from ejmnet import verify
-from ejmnet.cli import _emit_table, _parser, build_parser, main
 
 BASES = ["ejm", "ejmz", "mp", "bsm"]
 TOPOLOGIES = st.one_of(st.integers(1, 5).map(open_line), st.integers(2, 5).map(polygon))
@@ -312,7 +311,7 @@ class TestVerifyAllCommand:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_library_rejects_unusable_tolerance(self, bad):
-        with pytest.raises(ejmnet.DomainError, match="tolerance"):
+        with pytest.raises(DomainError, match="tolerance"):
             verify.run_all_checks(tolerance=bad, include_lp=False)
 
 
@@ -356,6 +355,8 @@ class TestUsageErrors:
             (["polygon", "--n", "3", "--event", "tuple=1,1"], 64),
             (["stats", "--topology", "line", "--n", "1"], 64),
             (["validate", "--basis-file", "{wrong_shape}"], 1),
+            (["line", "--n", "3", "--event", "prefixsideways"], 1),
+            (["search", "--method", "exhaustive", "--n", "9"], 64),
         ],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, code):
@@ -440,3 +441,23 @@ class TestParserReuse:
             env={**os.environ, "PYTHONPATH": src},
         ).stdout
         assert out.split() == ["0", "0"]
+
+
+class TestLazyScipy:
+    def test_only_the_lp_commands_import_scipy(self):
+        probe = (
+            "import os, sys\n"
+            "import ejmnet.bases, ejmnet.cli, ejmnet.localmodels, ejmnet.network\n"
+            "before = 'scipy' in sys.modules\n"
+            "code = ejmnet.cli.main(['bell-check', '--target', 'uniform', '--out', os.devnull])\n"
+            "print(before, code, 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(ejmnet.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.split() == ["False", "0", "True"]

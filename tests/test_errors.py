@@ -3,22 +3,11 @@
 import numpy as np
 import pytest
 
-from ejmnet import (
-    DomainError,
-    HiddenSource,
-    JointDistribution,
-    ResponseTable,
-    ValidationError,
-    bell_lp_check,
-    ejm_basis,
-    event_probability,
-    open_line,
-    polygon,
-    q_model,
-    sample_model,
-    uniform_target,
-)
-from ejmnet.errors import integer_in_range, probability_array
+from ejmnet.bases import ejm_basis
+from ejmnet.belllp import bell_lp_check, uniform_target
+from ejmnet.errors import DomainError, ValidationError, integer_in_range, probability_array
+from ejmnet.localmodels import HiddenSource, ResponseTable, q_model, sample_model
+from ejmnet.network import JointDistribution, event_probability, open_line, polygon
 
 # name -> (valid input, atol, build(array), the stored array or None).  The
 # first two flat entries of every input share one normalisation group.

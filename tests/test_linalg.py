@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ejmnet import (
-    CapacityError,
-    DomainError,
+from ejmnet.errors import CapacityError, DomainError, ValidationError
+from ejmnet.linalg import (
     PAULI,
-    ValidationError,
     antipode_state,
     bloch_to_state,
     partial_bloch,

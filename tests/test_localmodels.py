@@ -7,22 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejmnet import (
+from ejmnet.errors import CapacityError, DomainError, ValidationError
+from ejmnet.localmodels import (
+    INITIAL_TEMPERATURE,
     MAX_ALL_EQUAL,
     MIN_L1,
     MIN_LINF,
+    OBJECTIVES,
+    WEIGHT_MOVE_PROBABILITY,
+    WEIGHT_STEP,
+    _TRIANGLE,
     AnnealSchedule,
-    CapacityError,
-    DomainError,
     HiddenSource,
-    JointDistribution,
-    NetworkTopology,
     ResponseTable,
     RingLocalModel,
-    ValidationError,
+    _contract,
+    _hit_scores,
+    _objective_value,
     anneal_search,
     asymmetric_model,
-    coincidence_stats,
     evaluate_model,
     exhaustive_search,
     model_from_json_dict,
@@ -32,17 +35,7 @@ from ejmnet import (
     q_model_flag_audit,
     sample_model,
 )
-from ejmnet.localmodels import (
-    INITIAL_TEMPERATURE,
-    OBJECTIVES,
-    POLYGON,
-    WEIGHT_MOVE_PROBABILITY,
-    WEIGHT_STEP,
-    _TRIANGLE,
-    _contract,
-    _hit_scores,
-    _objective_value,
-)
+from ejmnet.network import POLYGON, JointDistribution, NetworkTopology, coincidence_stats
 
 # Conditional pair/triple rates per source-flag combination, flags in binary
 # ascending (alpha, beta, gamma) order.

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejmnet import (
+from ejmnet.bases import TwoQubitBasis, basis_by_name
+from ejmnet.errors import (
     CapacityError,
     DomainError,
-    JointDistribution,
     NonDyadicError,
-    TwoQubitBasis,
     UnknownEventError,
     ValidationError,
-    basis_by_name,
+)
+from ejmnet.network import (
+    JointDistribution,
     closed_form_line,
     closed_form_polygon,
+    coincidence_pattern,
     coincidence_stats,
     conditional_all_equal,
     conditional_all_equal_fraction,
@@ -33,7 +35,6 @@ from ejmnet import (
     polygon_all_equal_dyadic,
     table2_rows,
 )
-from ejmnet.network import coincidence_pattern
 
 SQRT3 = math.sqrt(3.0)
 
