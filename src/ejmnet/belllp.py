@@ -66,19 +66,14 @@ class LocalityCertificate:
 
 
 @lru_cache(maxsize=1)
-def _strategies() -> np.ndarray:
-    """All deterministic single-party strategies as a (256, 4) outcome array."""
-    return (np.arange(256)[:, None] // 4 ** np.arange(3, -1, -1)[None, :]) % 4
-
-
-@lru_cache(maxsize=1)
 def _vertex_matrix() -> sparse.csc_matrix:
     """Sparse (256, 65536) map from vertex weights to behaviour entries.
 
     Row index is ((x*4 + y)*4 + a)*4 + b; column i*256 + j is the product of
     strategies i (left party) and j (right party).
     """
-    f = _strategies()
+    # f[i, x]: deterministic strategy i's outcome on input x.
+    f = (np.arange(256)[:, None] // 4 ** np.arange(3, -1, -1)[None, :]) % 4
     base = (np.arange(4)[:, None] * 4 + np.arange(4)[None, :]) * 16  # (x, y)
     rows = base[None, None, :, :] + f[:, None, :, None] * 4 + f[None, :, None, :]
     cols = np.broadcast_to(np.arange(65536).reshape(256, 256, 1, 1), rows.shape)

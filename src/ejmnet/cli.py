@@ -10,8 +10,8 @@ or out-of-range flag value (``--n``, ``--max-n``, ``--q``, ``--cardinality``,
 an ``--event`` prefix length or outcomes, ``--n`` other than 3 for an
 exhaustive search), which raises :class:`DomainError`.
 
-Only ``bell-check`` and ``verify-all`` solve LPs, so only they load
-:mod:`ejmnet.belllp` and scipy; the other commands need numpy alone.
+Only ``bell-check`` and ``verify-all`` solve LPs and load scipy;
+``verify-all --no-lp`` and the other commands need numpy alone.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ from .localmodels import (
 )
 from .network import (
     JointDistribution,
+    NetworkTopology,
     coincidence_stats,
     dyadic_fields,
     event_probability,
     joint_distribution_naive,
-    open_line,
     polygon,
     table2_rows,
 )
@@ -202,7 +202,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    top = open_line(args.n) if args.topology == "line" else polygon(args.n)
+    top = NetworkTopology(args.topology, args.n)
     basis = basis_by_name(args.basis)
     if args.event:
         event = _parse_event_flag(args.event, args.n)
@@ -255,7 +255,7 @@ _JSON_PATTERN_CLASS = (
 
 
 def _cmd_stats(args) -> int:
-    top = open_line(args.n) if args.topology == "line" else polygon(args.n)
+    top = NetworkTopology(args.topology, args.n)
     dist = joint_distribution_naive(top, basis_by_name(args.basis))
     stats = coincidence_stats(dist)
     payload = {
@@ -292,7 +292,8 @@ def _cmd_qmodel(args) -> int:
         span = (hi - lo) / step
         if not span <= MAX_SCAN_POINTS - 1:
             raise CapacityError(f"--scan {args.scan!r} exceeds {MAX_SCAN_POINTS} grid points")
-        qs = [lo + i * step for i in range(int(round(span)) + 1)]
+        # The slack absorbs the rounding of a span that is a whole number of steps.
+        qs = [lo + i * step for i in range(math.floor(span + 1e-9) + 1)]
     rows = []
     for q in qs:
         p = coincidence_stats(evaluate_model(q_model(q))).p_all_equal

@@ -46,6 +46,15 @@ def _unit_vector(m, atol: float = 1e-9) -> np.ndarray:
     return v / n
 
 
+def _ket(eta: float, phi: float) -> np.ndarray:
+    return np.array(
+        [
+            math.sqrt(max(0.5 * (1.0 - eta), 0.0)) * np.exp(0.5j * phi),
+            math.sqrt(max(0.5 * (1.0 + eta), 0.0)) * np.exp(-0.5j * phi),
+        ]
+    )
+
+
 def bloch_to_state(m) -> np.ndarray:
     """Qubit ket pointing along the unit Bloch vector ``m``.
 
@@ -55,14 +64,7 @@ def bloch_to_state(m) -> np.ndarray:
     poles phi degenerates to a global phase; atan2(0, 0) = 0 fixes it.
     """
     v = _unit_vector(m)
-    eta = v[2]
-    phi = math.atan2(v[1], v[0])
-    return np.array(
-        [
-            math.sqrt(max(0.5 * (1.0 - eta), 0.0)) * np.exp(0.5j * phi),
-            math.sqrt(max(0.5 * (1.0 + eta), 0.0)) * np.exp(-0.5j * phi),
-        ]
-    )
+    return _ket(v[2], math.atan2(v[1], v[0]))
 
 
 def antipode_state(m) -> np.ndarray:
@@ -73,14 +75,7 @@ def antipode_state(m) -> np.ndarray:
     bases downstream.
     """
     v = _unit_vector(m)
-    eta = v[2]
-    phi = math.atan2(v[1], v[0]) + math.pi
-    return np.array(
-        [
-            math.sqrt(max(0.5 * (1.0 + eta), 0.0)) * np.exp(0.5j * phi),
-            math.sqrt(max(0.5 * (1.0 - eta), 0.0)) * np.exp(-0.5j * phi),
-        ]
-    )
+    return _ket(-v[2], math.atan2(v[1], v[0]) + math.pi)
 
 
 def singlet() -> np.ndarray:

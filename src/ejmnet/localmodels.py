@@ -585,45 +585,36 @@ def anneal_search(
         value = float(_objective_value(objective, _close(top, chains[-1], weights), target_probs))
         return (-value if maximize else value), value
 
-    current_e, current_v = energy()
-    best_e, best_v = current_e, current_v
+    current_e, best_v = energy()
+    best_e = current_e
     best_state = ([t.copy() for t in tables], [w.copy() for w in weights])
     trace = [(0, best_v)]
     temperature = INITIAL_TEMPERATURE
 
     for step in range(1, schedule.steps + 1):
         mutate_weight = c > 1 and rng.random() < WEIGHT_MOVE_PROBABILITY
+        i = int(rng.integers(n))
+        saved = (tables[i].copy(), weights[i], blocks[i], chains[i:])
         if mutate_weight:
-            s = int(rng.integers(n))
-            old_w = weights[s].copy()
             k = int(rng.integers(c))
-            w = weights[s] + 0.0
+            w = weights[i] + 0.0
             w[k] += rng.random() * WEIGHT_STEP
-            weights[s] = w / w.sum()
+            weights[i] = w / w.sum()
         else:
-            pi = int(rng.integers(n))
             li, ri = int(rng.integers(c)), int(rng.integers(c))
-            old_cell = tables[pi][li, ri]
             new_cell = int(rng.integers(3))
-            tables[pi][li, ri] = new_cell if new_cell < old_cell else new_cell + 1
-
-        moved = s if mutate_weight else pi
-        saved_block, saved_chains = blocks[moved], chains[moved:]
-        refold(moved)
+            tables[i][li, ri] = new_cell if new_cell < tables[i][li, ri] else new_cell + 1
+        refold(i)
         new_e, new_v = energy()
         delta = new_e - current_e
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
-            current_e, current_v = new_e, new_v
+            current_e = new_e
             if new_e < best_e:
                 best_e, best_v = new_e, new_v
                 best_state = ([t.copy() for t in tables], [w.copy() for w in weights])
                 trace.append((step, best_v))
         else:
-            if mutate_weight:
-                weights[s] = old_w
-            else:
-                tables[pi][li, ri] = old_cell
-            blocks[moved], chains[moved:] = saved_block, saved_chains
+            tables[i], weights[i], blocks[i], chains[i:] = saved
         temperature *= schedule.cooling
 
     tabs, wts = best_state

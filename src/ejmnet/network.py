@@ -49,11 +49,14 @@ MAX_EVENT_PARTIES = 64
 
 NORMALIZATION_ATOL = 1e-9
 
-# A dyadic field needs p within DYADIC_ATOL (8 ulps of 1) of its 2**-k grid
-# point.  That is evidence, not proof: an irrational p falls that close with
+# A dyadic field needs p within min(DYADIC_ATOL, DYADIC_RTOL * max(p, 2**-k))
+# of its 2**-k grid point, 8 ulps of 1 or 2**10 ulps of a small p: genuine
+# fields sit within 144 ulps of p, irrational mp entries near the grid 6e5.
+# Still evidence, not proof: an irrational p falls within DYADIC_ATOL with
 # probability ~DYADIC_ATOL * 2**(k+1), ~4e-3 at k = 40 and certainty at
 # k = 48, so no field is emitted on a grid finer than 2**-MAX_DYADIC_EXPONENT.
 DYADIC_ATOL = 8 * np.finfo(float).eps
+DYADIC_RTOL = 2.0**-42
 MAX_DYADIC_EXPONENT = 40
 
 ALL_EQUAL = "all-equal"
@@ -149,10 +152,8 @@ def _reduced_dyadic(numerator: int, log2_denominator: int) -> DyadicProbability:
     num, k = int(numerator), int(log2_denominator)
     if num == 0:
         return DyadicProbability(0, 0)
-    while num % 2 == 0 and k > 0:
-        num //= 2
-        k -= 1
-    return DyadicProbability(num, k)
+    twos = min((num & -num).bit_length() - 1, k)
+    return DyadicProbability(num >> twos, k - twos)
 
 
 def dyadic_columns(p, log2_denominator: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +162,7 @@ def dyadic_columns(p, log2_denominator: int) -> tuple[np.ndarray, np.ndarray, np
     Rounds each ``p * 2**log2_denominator`` half-to-even to the nearest
     integer and returns ``(ok, num, log2den)``: the grid point
     ``num / 2**log2den`` in lowest terms for every entry (0 maps to
-    ``(0, 0)``), and ``ok`` where ``p`` lies within ``DYADIC_ATOL`` of it.
+    ``(0, 0)``), and ``ok`` where ``p`` lies within the dyadic tolerance of it.
     """
     k = integer_in_range(log2_denominator, "log2_denominator", 0, 1022)
     p = np.asarray(p, dtype=float)
@@ -170,7 +171,8 @@ def dyadic_columns(p, log2_denominator: int) -> tuple[np.ndarray, np.ndarray, np
         raise DomainError(f"probability out of [0, 1]: {p[~inside].flat[0]}")
     p = np.clip(p, 0.0, 1.0)
     scaled = np.rint(np.ldexp(p, k))
-    ok = np.abs(p - np.ldexp(scaled, -k)) <= DYADIC_ATOL
+    tolerance = np.minimum(DYADIC_ATOL, DYADIC_RTOL * np.maximum(p, math.ldexp(1.0, -k)))
+    ok = np.abs(p - np.ldexp(scaled, -k)) <= tolerance
     # scaled = mantissa * 2**(exponent - 53) with an integer mantissa below
     # 2**53, which fits int64 for any k; ``m & -m`` is its lowest set bit.
     fraction, exponent = np.frexp(scaled)
@@ -186,7 +188,7 @@ def dyadic_reconstruct(p: float, log2_denominator: int) -> DyadicProbability:
     """Recover the exact dyadic rational behind a float probability.
 
     The scalar case of :func:`dyadic_columns`: fails with NonDyadicError
-    when ``p`` is not within ``DYADIC_ATOL`` of a multiple of
+    when ``p`` is not within its tolerance of a multiple of
     ``2**-log2_denominator``; the result is reduced to lowest terms.
     """
     ok, num, log2den = dyadic_columns([p], log2_denominator)
@@ -207,11 +209,8 @@ def dyadic_fields(probs, n_parties: int) -> tuple[np.ndarray, np.ndarray, np.nda
     no entry gets one.
     """
     k = 4 * n_parties + 4
-    if k > MAX_DYADIC_EXPONENT:
-        probs = np.asarray(probs, dtype=float)
-        zeros = np.zeros(probs.shape, dtype=np.int64)
-        return zeros.astype(bool), zeros, zeros
-    return dyadic_columns(probs, k)
+    ok, num, log2den = dyadic_columns(probs, k)
+    return ok & (k <= MAX_DYADIC_EXPONENT), num, log2den
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +329,14 @@ def event_probability(top: NetworkTopology, basis: TwoQubitBasis, event) -> floa
 
 def closed_form_line(n: int) -> float:
     """All-equal probability for n parties measuring EJM on an open chain."""
-    n = integer_in_range(n, "n", 1, 64)
+    n = integer_in_range(n, "n", 1, MAX_EVENT_PARTIES)
     value = (SQRT3 + 1.0) ** (2 * n) + (SQRT3 - 1.0) ** (2 * n)
     return value / 2.0 ** (4 * n - 1)
 
 
 def closed_form_polygon(n: int) -> float:
     """All-equal probability for n parties measuring EJM on a ring."""
-    n = integer_in_range(n, "n", 2, 64)
+    n = integer_in_range(n, "n", 2, MAX_EVENT_PARTIES)
     trace = (-SQRT3 - 1.0) ** n + (SQRT3 - 1.0) ** n
     return trace * trace / 4.0 ** (2 * n - 1)
 
@@ -347,7 +346,7 @@ def conditional_all_equal(n: int) -> float:
 
     Converges rapidly to (2 + sqrt(3))/4 ~ 0.93301 as n grows.
     """
-    n = integer_in_range(n, "n", 3, 64)
+    n = integer_in_range(n, "n", 3, MAX_EVENT_PARTIES)
     return closed_form_polygon(n) / closed_form_line(n - 1)
 
 
@@ -365,19 +364,19 @@ def _lucas(p: int, q: int, n: int) -> int:
 
 def line_all_equal_dyadic(n: int) -> DyadicProbability:
     """Exact dyadic form of :func:`closed_form_line` via integer recurrence."""
-    n = integer_in_range(n, "n", 1, 64)
+    n = integer_in_range(n, "n", 1, MAX_EVENT_PARTIES)
     return _reduced_dyadic(_lucas(8, 4, n), 4 * n - 1)
 
 
 def polygon_all_equal_dyadic(n: int) -> DyadicProbability:
     """Exact dyadic form of :func:`closed_form_polygon` via integer recurrence."""
-    n = integer_in_range(n, "n", 2, 64)
+    n = integer_in_range(n, "n", 2, MAX_EVENT_PARTIES)
     return _reduced_dyadic(_lucas(-2, -2, n) ** 2, 4 * n - 2)
 
 
 def conditional_all_equal_fraction(n: int) -> Fraction:
     """Exact rational form of the ring conditional; defined for n >= 2."""
-    n = integer_in_range(n, "n", 2, 64)
+    n = integer_in_range(n, "n", 2, MAX_EVENT_PARTIES)
     return Fraction(_lucas(-2, -2, n) ** 2, 8 * _lucas(8, 4, n - 1))
 
 
@@ -528,7 +527,7 @@ def table2_rows(max_n: int = 10) -> list[dict]:
     Columns: N, line, polygon, conditional; floats are accompanied by exact
     dyadic/rational strings.  Ring columns start at N = 2.
     """
-    max_n = integer_in_range(max_n, "max_n", 1, 64)
+    max_n = integer_in_range(max_n, "max_n", 1, MAX_EVENT_PARTIES)
     rows = []
     for n in range(1, max_n + 1):
         line = line_all_equal_dyadic(n)

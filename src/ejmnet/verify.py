@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import belllp
 from .bases import basis_by_name, ejm_basis, validate_basis
 from .errors import DomainError
 from .linalg import SQRT3, tetrahedron_vectors
@@ -164,7 +163,9 @@ def _check_gap(tolerance):
     return _result("classical-quantum-gap", residual, tolerance, f"gap {gap:.6f}")
 
 
+# Only these two checks solve LPs, so only they import belllp and with it scipy.
 def _check_line4_lp(tolerance):
+    from . import belllp
     certificate = belllp.bell_lp_check(belllp.line_conditional_target())
     if certificate.verdict != belllp.LOCAL:
         return CheckResult("line4-bell-membership", False, math.inf, certificate.verdict)
@@ -177,6 +178,7 @@ def _check_line4_lp(tolerance):
 
 
 def _check_pr_box_lp(tolerance):
+    from . import belllp
     certificate = belllp.bell_lp_check(belllp.pr_box_target())
     if certificate.verdict != belllp.NONLOCAL:
         return CheckResult("pr-box-separation", False, math.inf, certificate.verdict)

@@ -132,6 +132,15 @@ class TestTableEmitter:
         assert entry["dyadic"] is None
         assert abs(entry["p"] - (127 - 12 * math.sqrt(3)) / 2**16) < 1e-15
 
+    def test_irrational_massar_popescu_entry_near_the_grid_has_no_dyadic(self, capsys):
+        # 1.5e-15 off 163035 * 2**-34, within 8 eps but ~6e5 ulps of p.
+        code, out, _ = run_cli(capsys, "line", "--n", "8", "--basis", "mp")
+        assert code == 0
+        entries = json.loads(out)["distribution"]["probabilities"]
+        entry = next(e for e in entries if e["outcome"] == [1, 1, 2, 4, 2, 1, 3, 4])
+        assert entry["dyadic"] is None
+        assert sum(e["dyadic"] is not None for e in entries) == 1520
+
     @pytest.mark.parametrize("name", BASES)
     def test_every_field_equals_p(self, capsys, name):
         tolerance = 8 * np.finfo(float).eps
@@ -376,6 +385,19 @@ class TestUsageErrors:
         assert got == code
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "scan, qs",
+        [
+            ("0:0.5:0.3", [0.0, 0.3]),
+            ("0:1:0.35", [0.0, 0.35, 0.7]),
+            ("0.25:0.75:0.025", [0.25 + i * 0.025 for i in range(21)]),
+        ],
+    )
+    def test_scan_stops_at_hi(self, capsys, scan, qs):
+        code, out, err = run_cli(capsys, "qmodel", "--scan", scan)
+        assert code == 0, err
+        assert [row["q"] for row in json.loads(out)["rows"]] == qs
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -384,6 +406,17 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "triangle", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text(encoding="utf-8"))["distribution"]["n"] == 3
+
+
+def fresh_interpreter_stdout(probe):
+    src = str(Path(ejmnet.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
 
 
 class TestParserReuse:
@@ -432,15 +465,7 @@ class TestParserReuse:
             "print(ejmnet.cli._parser.cache_info().currsize, "
             "ejmnet.bases._named_basis.cache_info().currsize)"
         )
-        src = str(Path(ejmnet.__file__).parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        ).stdout
-        assert out.split() == ["0", "0"]
+        assert fresh_interpreter_stdout(probe).split() == ["0", "0"]
 
 
 class TestLazyScipy:
@@ -452,12 +477,13 @@ class TestLazyScipy:
             "code = ejmnet.cli.main(['bell-check', '--target', 'uniform', '--out', os.devnull])\n"
             "print(before, code, 'scipy' in sys.modules)\n"
         )
-        src = str(Path(ejmnet.__file__).parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        ).stdout
-        assert out.split() == ["False", "0", "True"]
+        assert fresh_interpreter_stdout(probe).split() == ["False", "0", "True"]
+
+    def test_verify_all_without_lps_imports_no_scipy(self):
+        probe = (
+            "import os, sys\n"
+            "import ejmnet.cli\n"
+            "code = ejmnet.cli.main(['verify-all', '--no-lp', '--out', os.devnull])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        assert fresh_interpreter_stdout(probe).split() == ["0", "False"]

@@ -128,6 +128,7 @@ class TestDyadicReconstruct:
 
 
 DYADIC_ATOL = 8 * np.finfo(float).eps
+DYADIC_RTOL = 2.0**-42
 
 
 class TestDyadicColumns:
@@ -144,7 +145,10 @@ class TestDyadicColumns:
         for p, accepted, numerator, exponent in zip(values, ok, num, log2den):
             nearest = Fraction(round(math.ldexp(p, k)), 2**k)
             assert (int(numerator), 2 ** int(exponent)) == (nearest.numerator, nearest.denominator)
-            assert accepted == (abs(Fraction(p) - nearest) <= Fraction(DYADIC_ATOL))
+            tolerance = min(
+                Fraction(DYADIC_ATOL), Fraction(DYADIC_RTOL) * max(Fraction(p), Fraction(1, 2**k))
+            )
+            assert accepted == (abs(Fraction(p) - nearest) <= tolerance)
         for (m, e), accepted in zip(grid_points, ok[len(floats):]):
             if e <= k:
                 assert accepted
