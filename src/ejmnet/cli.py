@@ -292,8 +292,9 @@ def _cmd_qmodel(args) -> int:
         span = (hi - lo) / step
         if not span <= MAX_SCAN_POINTS - 1:
             raise CapacityError(f"--scan {args.scan!r} exceeds {MAX_SCAN_POINTS} grid points")
-        # The slack absorbs the rounding of a span that is a whole number of steps.
-        qs = [lo + i * step for i in range(math.floor(span + 1e-9) + 1)]
+        # The slack absorbs the rounding of a span that is a whole number of
+        # steps; the clamp keeps the point it admits from landing past HI.
+        qs = [min(lo + i * step, hi) for i in range(math.floor(span + 1e-9) + 1)]
     rows = []
     for q in qs:
         p = coincidence_stats(evaluate_model(q_model(q))).p_all_equal

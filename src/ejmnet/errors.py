@@ -78,7 +78,9 @@ def probability_array(values, what: str, *, axis=None, atol: float) -> np.ndarra
             f"{what}: entry {low} below the clamping threshold {NEGATIVE_CLAMP}", residual=low
         )
     arr = np.maximum(arr, 0.0)
-    worst = float(np.max(np.abs(arr.sum(axis=axis) - 1.0)))
+    # Finite entries near the float maximum sum to inf, which fails the check below.
+    with np.errstate(over="ignore"):
+        worst = float(np.max(np.abs(arr.sum(axis=axis) - 1.0)))
     if worst > atol:
         raise ValidationError(f"{what} must sum to 1 (worst deviation {worst})", residual=worst)
     arr.setflags(write=False)

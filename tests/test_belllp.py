@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -14,7 +14,12 @@ from ejmnet.belllp import (
     INCONCLUSIVE,
     LOCAL,
     NONLOCAL,
+    _candidate_row_perms,
+    _column_image,
     _master_matrix,
+    _orbit_master_matrix,
+    _orbits,
+    _symmetry_group,
     _vertex_matrix,
     bell_lp_check,
     chsh_value,
@@ -213,6 +218,91 @@ class TestMaster:
         assert np.isin(support, built[-1]).all()
         assert built[-1].size == certificate.columns
         assert support.size <= 257
+
+
+def noisy_pr_box(v=0.8):
+    return v * pr_box_target() + (1.0 - v) * uniform_target()
+
+
+# name -> (target, order of its detected symmetry group).
+SYMMETRIC_TARGETS = {
+    "ejm-line": (line_conditional_target, 48),
+    "chain-ejmz": (lambda: line_conditional_target(basis_by_name("ejmz")), 48),
+    "chain-bsm": (lambda: line_conditional_target(basis_by_name("bsm")), 48),
+    "chain-mp": (lambda: line_conditional_target(basis_by_name("mp")), 8),
+    "noisy-pr-box": (noisy_pr_box, 4),
+    "mixture-6": (lambda: vertex_mixture(np.random.default_rng(6), 6), 1),
+}
+GROUPS = {name: _symmetry_group(target().ravel()) for name, (target, _) in SYMMETRIC_TARGETS.items()}
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("name", SYMMETRIC_TARGETS)
+    def test_detected_group_order(self, name):
+        target, order = SYMMETRIC_TARGETS[name]
+        assert len(_symmetry_group(target().ravel())) == order
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_detected_group_is_closed_under_composition(self, name):
+        group = GROUPS[name]
+        perms = _candidate_row_perms()
+        members = {tuple(perms[g]) for g in group}
+        assert all(tuple(perms[g][perms[h]]) in members for g in group for h in group)
+
+    def test_candidates_move_vertices_to_vertices(self):
+        # Column c's 16 rows, moved by a candidate, are the rows of its column image.
+        rows = _vertex_matrix().indices.reshape(65536, 16)
+        for g, perm in enumerate(_candidate_row_perms()):
+            moved = np.sort(perm[rows], axis=1)
+            assert np.array_equal(moved, rows[_column_image(g)]), g
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_orbit_counts_obey_burnside(self, name):
+        # The number of orbits is the mean number of points each element fixes.
+        group = GROUPS[name]
+        row_orbit, representative = _orbits(group)
+        perms = _candidate_row_perms()
+        row_fixed = sum(np.count_nonzero(perms[g] == np.arange(256)) for g in group)
+        pair_fixed = sum(np.count_nonzero(_column_image(g) == np.arange(65536)) for g in group)
+        assert row_orbit.max() + 1 == row_fixed / len(group)
+        assert np.unique(representative).size == pair_fixed / len(group)
+
+    @pytest.mark.parametrize("name", ["chain-mp", "noisy-pr-box"])
+    def test_orbit_members_share_their_summed_column(self, name):
+        row_orbit, representative = _orbits(GROUPS[name])
+        summed = _orbit_master_matrix(np.arange(65536), row_orbit)[:-1, :65536].toarray()
+        assert np.array_equal(summed, summed[:, representative])
+
+    def test_a_wrong_group_costs_no_verdict(self, monkeypatch):
+        # Both certificates are re-checked on the full vertex matrix.
+        monkeypatch.setattr(belllp, "_symmetry_group", lambda p: tuple(range(48)))
+        assert bell_lp_check(vertex_mixture(np.random.default_rng(3), 6)).verdict != NONLOCAL
+        assert bell_lp_check(pr_box_target()).verdict != LOCAL
+
+    # v stays off (0, 0.05): a PR-box share of ~6e-8 leaves a behaviour within
+    # HiGHS's 1e-7 feasibility tolerances of the polytope, and its verdict is INCONCLUSIVE.
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(
+        SEEDS,
+        st.sampled_from(sorted(set(GROUPS.values()))),
+        st.just(0.0) | st.floats(0.05, 1.0),
+        st.integers(1, 8),
+    )
+    def test_group_averaged_targets(self, seed, group, v, k):
+        rng = np.random.default_rng(seed)
+        p = (v * pr_box_target() + (1.0 - v) * vertex_mixture(rng, k)).ravel()
+        target = p[_candidate_row_perms()[list(group)]].mean(axis=0)
+        assert set(_symmetry_group(target)) >= set(group)
+        certificate = bell_lp_check(target.reshape(4, 4, 4, 4))
+        event(f"|G| = {len(group)}, {certificate.verdict}")
+        if certificate.verdict == LOCAL:
+            check = verify_certificate(certificate, target.reshape(4, 4, 4, 4))
+            assert check["reconstruction_residual"] < 1e-8
+            assert check["weight_sum_residual"] < 1e-8
+            assert check["min_weight"] >= 0.0
+        else:
+            assert certificate.verdict == NONLOCAL
+            assert abs(certificate.margin - full_separation_optimum(target)) < 1e-8
 
 
 class TestInconclusive:

@@ -366,16 +366,21 @@ class TestUsageErrors:
             (["validate", "--basis-file", "{wrong_shape}"], 1),
             (["line", "--n", "3", "--event", "prefixsideways"], 1),
             (["search", "--method", "exhaustive", "--n", "9"], 64),
+            (["bell-check", "--target-file", "{huge}"], 1),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, code):
         nan = tmp_path / "nan.json"
         nan.write_text("[[[[NaN]]]]", encoding="utf-8")
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(np.full((4, 4, 4, 4), 1e308).tolist()), encoding="utf-8")
         wrong_shape = tmp_path / "wrong_shape.json"
         wrong_shape.write_text('{"label": "x", "states": [[[1, 0], [0, 0]]]}', encoding="utf-8")
         files = {
             "missing": tmp_path / "missing.json",
             "nan": nan,
+            "huge": huge,
             "wrong_shape": wrong_shape,
             "missing_dir": tmp_path / "missing" / "out.json",
             "directory": tmp_path,
@@ -391,6 +396,10 @@ class TestUsageErrors:
             ("0:0.5:0.3", [0.0, 0.3]),
             ("0:1:0.35", [0.0, 0.35, 0.7]),
             ("0.25:0.75:0.025", [0.25 + i * 0.025 for i in range(21)]),
+            # The span falls 6e-11 short of 3 steps; the third step would be 1.00000000002.
+            ("0:1:0.33333333334", [0.0, 0.33333333334, 0.66666666668, 1.0]),
+            # 3 * 0.1 is 0.30000000000000004.
+            ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
         ],
     )
     def test_scan_stops_at_hi(self, capsys, scan, qs):

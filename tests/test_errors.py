@@ -73,6 +73,13 @@ class TestProbabilityGate:
             build(bad)
         assert err.value.residual == pytest.approx(10 * atol, rel=1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sum_overflow_raises_without_a_warning(self, name):
+        valid, _, build, _ = ENTRY_POINTS[name]
+        with pytest.raises(ValidationError) as err:
+            build(np.full_like(valid, 1e308))
+        assert err.value.residual == np.inf
+
 
 def test_gate_sums_over_the_given_axes():
     rows = np.array([[0.5, 0.5], [0.25, 0.75]])
