@@ -21,7 +21,9 @@ then G-invariant, so the master has one row per orbit of behaviour entries
 (their sum), one column per orbit of strategy pairs, and one slack pair per
 row orbit; the EJM chain has 11 row orbits instead of 256.  The orbit
 weights of a LOCAL verdict are spread over their member pairs and one last
-weights-form solve over those pairs, 257 rows, returns a basic solution.
+weights-form solve over those pairs, 257 rows, returns a basic solution;
+when every weighted orbit is a single pair, as under the trivial group,
+the master's own basic solution is one already and is used as it is.
 Both certificates are re-checked against the full vertex matrix, so a
 wrong group costs time but never gives a wrong verdict.  A target with no
 symmetry has the trivial group, and the orbit master is then the plain one.
@@ -41,7 +43,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .bases import TwoQubitBasis, ejm_basis
-from .errors import ValidationError, finite_array, probability_array
+from .errors import SYMMETRY_ATOL, ValidationError, finite_array, probability_array
 from .network import joint_distribution_naive, open_line
 
 LOCAL = "LOCAL"
@@ -52,8 +54,6 @@ RECONSTRUCTION_ATOL = 1e-8
 SEPARATION_MARGIN = 1e-9
 # How far each (x, y) slice of a target may sum away from 1.
 TARGET_ATOL = 1e-9
-# How far a target may move under a candidate symmetry that is still counted in its group.
-SYMMETRY_ATOL = 1e-13
 
 # Deterministic strategy i answers _OUTCOMES[i, x] on input x: the base-4
 # digits of i, most significant first.
@@ -68,14 +68,13 @@ class LocalityCertificate:
     """Re-verifiable outcome of a membership query.
 
     LOCAL certificates carry convex weights over the 65536 deterministic
-    strategy pairs, a basic solution of the last weights-form solve and so
-    at most 257 of them nonzero; NONLOCAL ones carry a separating
-    functional, the orbit master's row duals spread over the 256 behaviour
-    rows, together with its maximum over the local vertices (the classical
-    bound) and its value on the target.  ``columns`` counts the strategy
-    pairs of the last LP: for LOCAL the member pairs of the orbits the
-    master weighted, which the last solve ran over; otherwise the member
-    pairs of the master's working orbits.  ``rounds`` counts the orbit
+    strategy pairs, a basic solution of the last solve and so at most 257
+    of them nonzero; NONLOCAL ones carry a separating functional, the orbit
+    master's row duals spread over the 256 behaviour rows, together with
+    its maximum over the local vertices (the classical bound) and its value
+    on the target.  ``columns`` counts strategy pairs: for LOCAL the member
+    pairs of the orbits the master weighted; otherwise the member pairs of
+    the master's working orbits.  ``rounds`` counts the orbit
     master's solves.
     """
 
@@ -215,7 +214,8 @@ def bell_lp_check(target) -> LocalityCertificate:
     round prices all 65536 pairs, maps every pair that is either party's
     best response to f and beats s to its orbit, and adds the new orbits.
     A LOCAL verdict spreads W over the member pairs of its orbits and
-    re-solves there in weights form.  INCONCLUSIVE flags a solver failure
+    re-solves there in weights form, unless every weighted orbit is a
+    single pair.  INCONCLUSIVE flags a solver failure
     or a void margin or fit.
     """
     p = _behaviour(target)
@@ -260,12 +260,17 @@ def bell_lp_check(target) -> LocalityCertificate:
         )
     weighted = columns[master.x[: columns.size] > 0]
     support = np.flatnonzero(np.isin(representative, weighted))
-    fit = _l1_fit(_master_matrix(support), np.append(p, 1.0))
-    run.update(solver_status=fit.message, columns=support.size)
-    if fit.status != 0:
-        return LocalityCertificate(INCONCLUSIVE, **run)
+    run["columns"] = support.size
+    # When every weighted orbit is a single pair, the master's basic solution
+    # is already one in weights form.
+    fit, fitted = master, columns
+    if support.size > weighted.size:
+        fit, fitted = _l1_fit(_master_matrix(support), np.append(p, 1.0)), support
+        run["solver_status"] = fit.message
+        if fit.status != 0:
+            return LocalityCertificate(INCONCLUSIVE, **run)
     weights = np.zeros(65536)
-    weights[support] = np.maximum(fit.x[: support.size], 0.0)
+    weights[fitted] = np.maximum(fit.x[: fitted.size], 0.0)
     weights /= weights.sum()
     residual = float(np.max(np.abs(_vertex_matrix() @ weights - p)))
     verdict = LOCAL if residual < RECONSTRUCTION_ATOL else INCONCLUSIVE

@@ -8,7 +8,8 @@ wrong-shape ``--basis-file`` too) or unwritable ``--out`` path, 2 capacity
 exceeded, 64 usage error: an unknown subcommand or flag, or an unparseable
 or out-of-range flag value (``--n``, ``--max-n``, ``--q``, ``--cardinality``,
 an ``--event`` prefix length or outcomes, ``--n`` other than 3 for an
-exhaustive search), which raises :class:`DomainError`.
+exhaustive search, ``--optimize-weights`` with an anneal or a cardinality
+other than 2), which raises :class:`DomainError`.
 
 Only ``bell-check`` and ``verify-all`` solve LPs and load scipy;
 ``verify-all --no-lp`` and the other commands need numpy alone.
@@ -373,6 +374,8 @@ def _cmd_search(args) -> int:
             "witness_all_equal": recheck,
         }
     else:
+        if args.optimize_weights:
+            raise DomainError("--optimize-weights refines an exhaustive search only")
         result = anneal_search(
             args.cardinality,
             objective,
@@ -525,7 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="random seed (anneal only)")
     p.add_argument("--steps", type=int, default=100_000, help="annealing steps (anneal only)")
     p.add_argument("--cooling", type=float, default=0.999, help="cooling factor (anneal only)")
-    p.add_argument("--optimize-weights", action="store_true")
+    p.add_argument(
+        "--optimize-weights",
+        action="store_true",
+        help="refine the witness's source weights (exhaustive, cardinality 2 only)",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search)
 

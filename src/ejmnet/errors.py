@@ -8,6 +8,10 @@ import numpy as np
 # lower signals a contraction bug and is a hard error.
 NEGATIVE_CLAMP = -1e-12
 
+# How far a target may move under a candidate relabelling that still counts
+# as one of its symmetries (the Bell LP's and the exhaustive search's groups).
+SYMMETRY_ATOL = 1e-13
+
 
 class DomainError(ValueError):
     """An input lies outside an operation's mathematical domain."""

@@ -14,6 +14,7 @@ line with N+1 sources, party i reads (source i, source i+1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    SYMMETRY_ATOL,
     CapacityError,
     DomainError,
     ValidationError,
@@ -401,29 +403,73 @@ def exhaustive_search(
 
     All 4**(c*c) deterministic response tables per party are scanned (c is
     the common source cardinality, at most 2); ties break towards the
-    lexicographically smallest table triple.  With ``optimize_weights`` the
-    best triple is refined over a 1/64-step grid of binary source weights.
-    Without refinement the reported value is the witness re-scored through
-    :func:`evaluate_model`.
+    lexicographically smallest table triple.  With ``optimize_weights``
+    (c = 2 only) the best triple is refined over a 1/64-step grid of binary
+    source weights.  Without refinement the reported value is the witness
+    re-scored through :func:`evaluate_model`.
 
-    Relabelling the values of a uniform source maps a candidate to one with
-    the same outcome table, which :func:`_hit_scores` scores bit-equal, so
-    the lexicographically smallest optimum has a first-party table that is
-    the smallest of its relabelling orbit; only those tables are scanned
-    (76 of 256 at c = 2), each against every table pair of the other two
-    parties.
+    The scan runs over a group G of relabellings (:func:`_triple_maps`):
+    those of each source's values, which keep a candidate's outcome table,
+    and the target's own symmetries among the 24 outcome relabellings (one
+    permutation applied to every party's outcome), each with or without the
+    reflection of the triangle (:func:`_target_symmetries`).  Only the
+    first-party tables that are the smallest of their G-orbit are scanned,
+    each against every table pair of the other two parties: 7 of 256 at
+    c = 2 for all-equal and ``ejm-triangle``, 22 for ``ejm-triangle-coarse``
+    and 76 for a target with no symmetry.
+
+    The witness is still exactly that of the full scan.  A target is
+    invariant only to ``SYMMETRY_ATOL``, and an image candidate adds its hit
+    cells in another order, so the scores of one G-orbit can differ in the
+    last bits.  But every full-scan optimum has an image that starts with a
+    scanned table and scores within :func:`_score_slack` of the best scanned
+    score.  So the scanned candidates that close (the near-ties) are
+    expanded by all of G and their images rescored, in batches the size of
+    one first-party table's scan; the best score wins, ties going to the
+    smallest triple.  Where the images would outnumber the cells of such a
+    scan, the first-party tables they start with are scanned in full
+    instead, as the scan over source relabellings alone would scan them.
+    Where that scan would have scanned no table that this one has not, as
+    for a target with no symmetry, the scanned tables' own bests decide.
     """
     c = _check_cardinality(
         cardinality, 2, "full enumeration handles cardinality <= 2 (4**(c*c) tables per party)"
     )
     _check_objective(objective, target, 3)
-    n_cells = c * c
-    n_tables = 4**n_cells
-    # cells[t, j]: outcome of table t in flattened pair cell j, base-4 digits
-    # with the first cell most significant (lexicographic witness order).
-    powers = 4 ** np.arange(n_cells - 1, -1, -1)
-    cells = (np.arange(n_tables)[:, None] // powers[None, :]) % 4
+    if optimize_weights and c != 2:
+        raise DomainError(f"weight refinement needs cardinality 2, got {c}")
+    target_flat = None if target is None else target.probs.reshape(-1)
+    all_tables = _tables(c)
+    tables = [all_tables[t] for t in _best_triple(objective, c, target_flat)]
+    weights = [np.full(c, 1.0 / c)] * 3
+    if optimize_weights:
+        value, weights = _refine_binary_weights(objective, tables, target)
+    witness = RingLocalModel(
+        _TRIANGLE,
+        [HiddenSource(w) for w in weights],
+        [ResponseTable.from_outcomes(t) for t in tables],
+    )
+    if not optimize_weights:
+        value = _objective_value(objective, evaluate_model(witness).probs.reshape(-1), target_flat)
+    return SearchResult(objective, float(value), witness, len(all_tables) ** 3, bool(optimize_weights))
 
+
+def _tables(c: int) -> np.ndarray:
+    """(4**(c*c), c, c): the outcomes of every deterministic table.
+
+    Table t's cells, flattened, are the base-4 digits of t with the first
+    cell most significant (lexicographic witness order).
+    """
+    n_cells = c * c
+    return ((np.arange(4**n_cells)[:, None] // 4 ** np.arange(n_cells - 1, -1, -1)) % 4).reshape(
+        -1, c, c
+    )
+
+
+def _best_triple(objective: str, c: int, target: np.ndarray | None) -> tuple[int, int, int]:
+    """The lexicographically smallest optimal table triple, by the scan of :func:`exhaustive_search`."""
+    cells = _tables(c).reshape(-1, c * c)
+    n_tables = len(cells)
     # outcomes[i][k, t]: party i's outcome with table t in hidden configuration k.
     configs = np.array(list(itertools.product(range(c), repeat=3)))
     o0, o1, o2 = (
@@ -432,37 +478,156 @@ def exhaustive_search(
     )
     # Cell codes 4*a1 + a2 of every (r1, r2) pair, column r1 * n_tables + r2.
     rest = (4 * o1[:, :, None] + o2[:, None, :]).reshape(len(configs), -1)
+    # Scores are negated for the maximised objective, so the best is the least.
+    sign = -1.0 if objective == MAX_ALL_EQUAL else 1.0
+    # rows[r0]: best score and its first (r1, r2) column in a scanned first-party table.
+    rows = {}
 
-    target_flat = None if target is None else target.probs.reshape(-1)
-    maximize = objective == MAX_ALL_EQUAL
-    relabellings = list(itertools.permutations(range(c)))
-    pair_cells = np.arange(n_cells).reshape(c, c)
-    images = [
-        cells[:, pair_cells[np.ix_(left, right)].ravel()] @ powers
-        for left in relabellings
-        for right in relabellings
-    ]
-    best_score, best = None, None
-    for r0 in np.flatnonzero(np.min(images, axis=0) == np.arange(n_tables)):
-        score = _hit_scores(objective, 16 * o0[:, r0, None] + rest, target_flat)
-        idx = int(np.argmax(score) if maximize else np.argmin(score))
-        if best is None or (score[idx] > best_score if maximize else score[idx] < best_score):
-            best_score, best = score[idx], (int(r0), *divmod(idx, n_tables))
+    def scan(r0):
+        score = _hit_scores(objective, 16 * o0[:, r0, None] + rest, target)
+        score *= sign
+        column = int(np.argmin(score))
+        rows[r0] = score[column], column
+        return score
 
-    tables = [cells[t].reshape(c, c) for t in best]
-    weights = [np.full(c, 1.0 / c)] * 3
-    refined = False
-    if optimize_weights and c == 2:
-        value, weights = _refine_binary_weights(objective, tables, target)
-        refined = True
-    witness = RingLocalModel(
-        _TRIANGLE,
-        [HiddenSource(w) for w in weights],
-        [ResponseTable.from_outcomes(t) for t in tables],
-    )
-    if not refined:
-        value = _objective_value(objective, evaluate_model(witness).probs.reshape(-1), target_flat)
-    return SearchResult(objective, float(value), witness, n_tables**3, refined)
+    symmetries = _target_symmetries(target)
+    maps, slots = _triple_maps(c, symmetries)
+    slack = _score_slack(objective, len(configs), len(symmetries))
+    # kept[r0]: codes and scores of a scanned table's candidates within slack
+    # of the best so far, or None when their images would outnumber the
+    # cells of one scan.  A table whose best falls out of reach is dropped.
+    best, kept = np.inf, {}
+    for r0 in _first_tables(maps):
+        score = scan(r0)
+        best = min(best, rows[r0][0])
+        keep = np.flatnonzero(score <= best + slack)
+        kept[r0] = (r0 * n_tables**2 + keep, score[keep]) if keep.size * len(maps) <= rest.size else None
+        kept = {r: near for r, near in kept.items() if rows[r][0] <= best + slack}
+
+    # First-party tables that images start with and the scan over source
+    # relabellings alone would have scanned, but this one has not.
+    starts = np.unique(maps[:, 0][:, list(kept)])
+    source_scan = _first_tables(_triple_maps(c, _IDENTITY)[0])
+    unscanned = np.setdiff1d(np.intersect1d(starts, source_scan), list(rows))
+    near = None
+    if unscanned.size and None not in kept.values():
+        near = np.concatenate([codes[scores <= best + slack] for codes, scores in kept.values()])
+    if near is not None and len(near) * len(maps) <= rest.size:
+        near = np.stack(_triple_digits(near, n_tables), axis=1)
+        # Image of triple k under element g: its slot-j table is maps[g, j] of
+        # the table in slot slots[g, j].
+        moved = maps[np.arange(len(maps))[:, None, None], np.arange(3), near[:, slots].swapaxes(0, 1)]
+        codes = np.unique(moved.astype(np.int64) @ (n_tables ** np.arange(2, -1, -1)))
+        t0, t1, t2 = _triple_digits(codes, n_tables)
+        hits = 16 * o0[:, t0] + 4 * o1[:, t1] + o2[:, t2]
+        batch = rest.shape[1]
+        scores = sign * np.concatenate(
+            [_hit_scores(objective, hits[:, k : k + batch], target) for k in range(0, len(codes), batch)]
+        )
+    else:
+        for r0 in unscanned:
+            scan(r0)
+        codes = np.array([r0 * n_tables**2 + column for r0, (_, column) in rows.items()])
+        scores = np.array([score for score, _ in rows.values()])
+    return _triple_digits(int(codes[np.lexsort((codes, scores))[0]]), n_tables)
+
+
+def _triple_digits(codes, n_tables: int):
+    """Tables (t0, t1, t2) of triple codes t0 * n_tables**2 + t1 * n_tables + t2."""
+    return codes // n_tables**2, codes // n_tables % n_tables, codes % n_tables
+
+
+# Candidate g relabels every party's outcome by _OUTCOME_PERMS[g // 2] and,
+# for odd g, reflects the triangle.
+_OUTCOME_PERMS = np.array(list(itertools.permutations(range(4))))
+# Candidate 0 alone, whose group is the source relabellings.
+_IDENTITY = np.zeros(1, dtype=int)
+
+
+@functools.lru_cache(maxsize=1)
+def _candidate_cell_perms() -> np.ndarray:
+    """(48, 64) array: candidate g moves flat outcome cell a to cell ``[g, a]``.
+
+    The reflection maps party i to party -i mod 3, so it swaps the outcomes
+    of parties 1 and 2.
+    """
+    a0, a1, a2 = np.unravel_index(np.arange(64), (4, 4, 4))
+    return np.array([
+        np.ravel_multi_index(order, (4, 4, 4))
+        for s in _OUTCOME_PERMS
+        for order in ((s[a0], s[a1], s[a2]), (s[a0], s[a2], s[a1]))
+    ])
+
+
+def _target_symmetries(target: np.ndarray | None) -> np.ndarray:
+    """The candidates that move the flat ``target`` by at most ``SYMMETRY_ATOL``.
+
+    Without a target (the all-equal objective) every candidate counts.  A
+    set of candidates that is not closed under composition is no group, and
+    only the identity, candidate 0, is kept.
+    """
+    if target is None:
+        return np.arange(2 * len(_OUTCOME_PERMS))
+    perms = _candidate_cell_perms()
+    group = np.flatnonzero(np.max(np.abs(target[perms] - target), axis=1) <= SYMMETRY_ATOL)
+    # Candidate g after candidate h relabels by s_g . s_h and reflects if
+    # exactly one of them does; _OUTCOME_PERMS is in ascending base-4 order.
+    outcome, reflect = np.divmod(group, 2)
+    places = 4 ** np.arange(3, -1, -1)
+    composed = _OUTCOME_PERMS[outcome][:, _OUTCOME_PERMS[outcome]] @ places
+    products = 2 * np.searchsorted(_OUTCOME_PERMS @ places, composed) + (reflect[:, None] ^ reflect)
+    return group if np.isin(products, group).all() else _IDENTITY
+
+
+def _triple_maps(c: int, symmetries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The group G acting on table triples, as ``maps`` (|G|, 3, n_tables) and ``slots`` (|G|, 3).
+
+    Element g sends the triple (t0, t1, t2) to the one whose slot-j table is
+    ``maps[g, j][t[slots[g, j]]]``.  G holds, for every candidate of
+    ``symmetries`` and every value relabelling of the three sources, the
+    candidate's reflection (party i's table, transposed, moves to slot -i),
+    then the relabelling (each table's rows by its party's left source,
+    columns by its right source), then the outcome relabelling.  Table
+    indices are below 4**(c*c) <= 256, so ``maps`` is uint8.
+    """
+    tables = _tables(c)
+    places = 4 ** np.arange(c * c - 1, -1, -1)
+    values = np.array(list(itertools.permutations(range(c))))
+    # relabelled[e, t, a, b]: table t, transposed if e = 1, with its rows
+    # relabelled by values[a] and its columns by values[b].
+    oriented = np.stack([tables, tables.swapaxes(1, 2)])
+    relabelled = oriented[:, :, values[:, None, :, None], values[None, :, None, :]]
+    relabelled = relabelled.reshape(relabelled.shape[:4] + (-1,)) @ places
+    # outcome_maps[s, t]: table t with its outcomes relabelled by _OUTCOME_PERMS[s].
+    outcome_maps = (_OUTCOME_PERMS[:, tables.reshape(len(tables), -1)] @ places).astype(np.uint8)
+    outcome, reflect = np.divmod(symmetries, 2)
+    images = outcome_maps[outcome[:, None, None, None], relabelled[reflect]]
+    sources = np.array(list(itertools.product(range(len(values)), repeat=3)))
+    left, right = np.array([_TRIANGLE.party_sources(j) for j in range(3)]).T
+    maps = images[np.arange(len(symmetries))[:, None, None], :, sources[:, left], sources[:, right]]
+    slots = np.where(reflect[:, None, None], [0, 2, 1], [0, 1, 2])
+    slots = np.broadcast_to(slots, maps.shape[:3])
+    return maps.reshape(-1, 3, len(tables)), slots.reshape(-1, 3)
+
+
+def _first_tables(maps: np.ndarray) -> np.ndarray:
+    """The first-party tables that are the smallest of their orbit under the group of ``maps``."""
+    return np.flatnonzero(maps[:, 0].min(axis=0) == np.arange(maps.shape[2]))
+
+
+def _score_slack(objective: str, n_conf: int, n_symmetries: int) -> float:
+    """How far a group element can move a candidate's computed score.
+
+    Source relabellings keep it bit-equal, and all-equal counts are exact.
+    Otherwise a distance reads at most ``n_conf`` hit target cells, each
+    moved by at most ``SYMMETRY_ATOL`` (twice over for L1, whose hit terms
+    are |n/K - t| - t), and adds them in another order: a few ulps of sums
+    below 4 per hit cell.
+    """
+    if objective == MAX_ALL_EQUAL or n_symmetries == 1:
+        return 0.0
+    rounding = 8 * n_conf * np.finfo(float).eps
+    return (2 * n_conf if objective == MIN_L1 else 1) * SYMMETRY_ATOL + rounding
 
 
 def _hit_scores(objective: str, codes: np.ndarray, target: np.ndarray | None) -> np.ndarray:
@@ -499,7 +664,9 @@ def _hit_scores(objective: str, codes: np.ndarray, target: np.ndarray | None) ->
     if objective == MIN_L1:
         terms = gap - t
         terms[1:][repeat] = 0.0
-        return target.sum() + terms.sum(axis=0)
+        # A plain left-to-right sum keeps one rounding order at every batch
+        # width; numpy's axis-0 sum changes order on narrow arrays.
+        return target.sum() + sum(terms)
     gap[1:][repeat] = 0.0
     # At most K cells are hit, so the largest un-hit entry is among the K + 1
     # largest; visiting those in ascending order leaves the largest free one.

@@ -16,6 +16,7 @@ from ejmnet.belllp import (
     NONLOCAL,
     _candidate_row_perms,
     _column_image,
+    _l1_fit,
     _master_matrix,
     _orbit_master_matrix,
     _orbits,
@@ -205,9 +206,12 @@ class TestMaster:
 
     @pytest.mark.parametrize("name", LOCAL_TARGETS)
     def test_local_weights_are_a_basic_solution_on_the_working_columns(self, monkeypatch, name):
+        # Every LP's matrix, the weights form's too, is built by _orbit_master_matrix.
         built = []
         monkeypatch.setattr(
-            belllp, "_master_matrix", lambda columns: built.append(columns) or _master_matrix(columns)
+            belllp,
+            "_orbit_master_matrix",
+            lambda columns, row_orbit: built.append(columns) or _orbit_master_matrix(columns, row_orbit),
         )
         certificate = bell_lp_check(LOCAL_TARGETS[name]())
         assert certificate.verdict == LOCAL
@@ -216,8 +220,24 @@ class TestMaster:
         assert abs(weights.sum() - 1.0) <= 1e-12
         support = np.flatnonzero(weights)
         assert np.isin(support, built[-1]).all()
-        assert built[-1].size == certificate.columns
+        # The last LP ran over the weighted orbits' pairs, or over the
+        # master's working columns when those orbits are single pairs.
+        assert certificate.columns <= built[-1].size
         assert support.size <= 257
+
+    def test_single_pair_orbits_skip_the_weights_form_solve(self, monkeypatch):
+        # A 6-vertex mixture has the trivial group, so every orbit is one pair.
+        target = vertex_mixture(np.random.default_rng(6), 6)
+        assert _symmetry_group(target.ravel()) == (0,)
+        fits = []
+        monkeypatch.setattr(belllp, "_l1_fit", lambda a, b: fits.append(a.shape) or _l1_fit(a, b))
+        certificate = bell_lp_check(target)
+        # The verdict, columns and rounds of the version that re-solved, with
+        # one solve per round and none after.
+        assert (certificate.verdict, certificate.columns, certificate.rounds) == (LOCAL, 6, 2)
+        assert len(fits) == certificate.rounds
+        assert certificate.reconstruction_residual < 1e-8
+        assert np.count_nonzero(certificate.weights) <= fits[-1][0]
 
 
 def noisy_pr_box(v=0.8):

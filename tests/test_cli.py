@@ -367,6 +367,8 @@ class TestUsageErrors:
             (["line", "--n", "3", "--event", "prefixsideways"], 1),
             (["search", "--method", "exhaustive", "--n", "9"], 64),
             (["bell-check", "--target-file", "{huge}"], 1),
+            (["search", "--method", "anneal", "--optimize-weights", "--steps", "10"], 64),
+            (["search", "--cardinality", "1", "--optimize-weights"], 64),
         ],
     )
     @pytest.mark.filterwarnings("error")

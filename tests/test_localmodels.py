@@ -21,9 +21,13 @@ from ejmnet.localmodels import (
     HiddenSource,
     ResponseTable,
     RingLocalModel,
+    _candidate_cell_perms,
     _contract,
+    _first_tables,
     _hit_scores,
     _objective_value,
+    _target_symmetries,
+    _triple_maps,
     anneal_search,
     asymmetric_model,
     evaluate_model,
@@ -127,6 +131,72 @@ def witness_codes(result):
         int("".join(str(v) for v in np.argmax(r.table, axis=2).ravel()), 4)
         for r in result.witness.responses
     )
+
+
+def subgroup(generators):
+    """The group of outcome relabellings and reflection that ``generators`` generate."""
+    perms = _candidate_cell_perms()
+    index = {p.tobytes(): g for g, p in enumerate(perms)}
+    group = {0, *generators}
+    while True:
+        grown = group | {index[perms[g][perms[h]].tobytes()] for g in group for h in group}
+        if grown == group:
+            return sorted(group)
+        group = grown
+
+
+def symmetrised_target(seed, generators, concentration):
+    """A Dirichlet triangle distribution averaged over ``subgroup(generators)``.
+
+    The average is invariant only up to rounding, as the EJM triangle is.
+    """
+    t = np.random.default_rng(seed).dirichlet(np.full(64, concentration))
+    probs = t[_candidate_cell_perms()[subgroup(generators)]].mean(axis=0)
+    return JointDistribution(_TRIANGLE, "symmetrised", probs.reshape(4, 4, 4))
+
+
+def triangle_outcomes():
+    """outcomes[i][k, t]: party i's outcome with table t in hidden configuration k, c = 2."""
+    tables = np.array(list(itertools.product(range(4), repeat=4))).reshape(-1, 2, 2)
+    hidden = np.array(list(itertools.product(range(2), repeat=3)))
+    return [
+        tables[:, hidden[:, left], hidden[:, right]].T.astype(np.uint8)
+        for left, right in map(_TRIANGLE.party_sources, range(3))
+    ]
+
+
+def best_in_rows(objective, target, first_tables):
+    """Lexicographically smallest best triple of a distance over the given first-party tables, c = 2."""
+    outcomes = triangle_outcomes()
+    rest = (4 * outcomes[1][:, :, None] + outcomes[2][:, None, :]).reshape(8, -1)
+    best = None
+    for r0 in first_tables:
+        score = _hit_scores(objective, 16 * outcomes[0][:, r0, None] + rest, target)
+        k = int(np.argmin(score))
+        if best is None or score[k] < best[0]:
+            best = score[k], (int(r0), *divmod(k, 256))
+    return best[1]
+
+
+def reference_scan(objective, target):
+    """The witness codes and value of the scan over source relabellings alone.
+
+    It scans every first-party table that is the smallest of its orbit under
+    relabelling the values of its two sources (76 of 256), each against all
+    table pairs of the other two parties.
+    """
+    tables = np.array(list(itertools.product(range(4), repeat=4))).reshape(-1, 2, 2)
+    places = 4 ** np.arange(3, -1, -1)
+    flips = [[0, 1], [1, 0]]
+    images = [tables[:, rows][:, :, cols].reshape(-1, 4) @ places for rows in flips for cols in flips]
+    flat = target.probs.reshape(-1)
+    codes = best_in_rows(objective, flat, np.flatnonzero(np.min(images, axis=0) == np.arange(256)))
+    witness = RingLocalModel(
+        _TRIANGLE,
+        [HiddenSource.uniform(2)] * 3,
+        [ResponseTable.from_outcomes(tables[t]) for t in codes],
+    )
+    return codes, float(_objective_value(objective, evaluate_model(witness).probs.reshape(-1), flat))
 
 
 class TestQModel:
@@ -471,10 +541,88 @@ class TestExhaustiveSearch:
         assert all(np.array_equal(t, outcome_tables[0]) for t in outcome_tables)
         assert all(s == scores[0] for s in scores)
 
+    # Each example costs ~1 s, nearly all of it in reference_scan; the two
+    # drawn here are one L1 and one Linf.  Generator 0 is the identity.
+    @settings(derandomize=True, max_examples=2, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 47), min_size=1, max_size=2),
+        st.sampled_from([0.1, 0.3, 1.0]),
+        st.sampled_from([MIN_L1, MIN_LINF]),
+    )
+    def test_matches_the_source_relabelling_scan(self, seed, generators, concentration, objective):
+        target = symmetrised_target(seed, generators, concentration)
+        result = exhaustive_search(2, objective, target)
+        assert (witness_codes(result), result.value) == reference_scan(objective, target)
+
+    # Witnesses and values of reference_scan, which takes ~1 s a target.
+    @pytest.mark.parametrize(
+        "seed, generators, concentration, objective, codes, value, plain_cut_moves",
+        [
+            (3236314158, [25, 39], 0.1, MIN_L1, (107, 110, 167), 1.468174843925653, True),
+            # ~1000 scanned candidates within slack of the best.
+            (3380555622, [9, 26], 1.0, MIN_LINF, (105, 6, 66), 0.10954051918006287, True),
+            # Too many near-ties to expand: the images' first tables are scanned whole.
+            (3, [31], 0.05, MIN_LINF, (2, 44, 135), 0.1569682365796387, False),
+        ],
+        ids=["l1", "linf-1000-near-ties", "linf-row-scan"],
+    )
+    def test_near_ties_keep_the_source_relabelling_witness(
+        self, seed, generators, concentration, objective, codes, value, plain_cut_moves
+    ):
+        target = symmetrised_target(seed, generators, concentration)
+        result = exhaustive_search(2, objective, target)
+        assert witness_codes(result) == codes
+        assert result.value == value
+        # Whether scanning the orbit representatives alone, with no near-tie
+        # expansion, would find another witness.
+        flat = target.probs.reshape(-1)
+        plain = best_in_rows(objective, flat, _first_tables(_triple_maps(2, _target_symmetries(flat))[0]))
+        assert (plain != codes) == plain_cut_moves
+
+    @pytest.mark.parametrize(
+        "target, scanned",
+        [(None, 7), ("triangle_ejm", 7), ("triangle_ejm_coarse", 22), ("dirichlet", 76)],
+        ids=["all-equal", "ejm-triangle", "ejm-triangle-coarse", "no-symmetry"],
+    )
+    def test_first_party_tables_scanned(self, request, target, scanned):
+        if target == "dirichlet":
+            probs = np.random.default_rng(5).dirichlet(np.ones(64)).reshape(4, 4, 4)
+            target = JointDistribution(_TRIANGLE, "dirichlet", probs)
+        elif target is not None:
+            target = request.getfixturevalue(target)
+        flat = None if target is None else target.probs.reshape(-1)
+        assert len(_first_tables(_triple_maps(2, _target_symmetries(flat))[0])) == scanned
+
+    def test_target_symmetries(self, triangle_ejm, triangle_ejm_coarse):
+        # The EJM triangle depends only on the coincidence pattern.  Its coarse
+        # grouping, supported on outcomes {1, 2}, keeps the 4 relabellings
+        # that map {1, 2} to itself; each with or without the reflection.
+        assert len(_target_symmetries(triangle_ejm.probs.reshape(-1))) == 48
+        assert len(_target_symmetries(triangle_ejm_coarse.probs.reshape(-1))) == 8
+        assert len(_target_symmetries(None)) == 48
+
+    def test_group_images_score_alike(self, triangle_ejm):
+        # Every element maps a candidate to one whose outcome table is a
+        # relabelling of its own, so the scores agree to rounding.
+        target = triangle_ejm.probs.reshape(-1)
+        maps, slots = _triple_maps(2, _target_symmetries(target))
+        assert len(maps) == 384
+        o0, o1, o2 = triangle_outcomes()
+        for triple in np.random.default_rng(0).integers(0, 256, size=(20, 3)):
+            t0, t1, t2 = maps[np.arange(len(maps))[:, None], np.arange(3), triple[slots]].T
+            for objective in OBJECTIVES:
+                scores = _hit_scores(objective, 16 * o0[:, t0] + 4 * o1[:, t1] + o2[:, t2], target)
+                assert np.ptp(scores) < 1e-12
+
     def test_weight_refinement_keeps_optimum(self):
         result = exhaustive_search(2, MAX_ALL_EQUAL, optimize_weights=True)
         assert result.weights_refined
         assert result.value >= 1.0 - 1e-12
+
+    def test_weight_refinement_needs_cardinality_two(self):
+        with pytest.raises(DomainError, match="cardinality 2"):
+            exhaustive_search(1, MAX_ALL_EQUAL, optimize_weights=True)
 
     def test_cardinality_three_rejected(self):
         with pytest.raises(CapacityError):
