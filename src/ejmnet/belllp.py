@@ -16,10 +16,12 @@ responses and supplies the master's columns.
 The master is solved over symmetry orbits.  The symmetry group G of the
 target is every one of 48 candidates (one relabelling of {0, 1, 2, 3}
 applied to x, y, a and b at once, with or without the party swap) that
-leaves it invariant.  Some optimal weights and some optimal functional are
-then G-invariant, so the master has one row per orbit of behaviour entries
-(their sum), one column per orbit of strategy pairs, and one slack pair per
-row orbit; the EJM chain has 11 row orbits instead of 256.  The orbit
+leaves it invariant, or the identity alone when those are not closed under
+composition (:func:`ejmnet.errors.symmetry_group`).  Some optimal weights
+and some optimal functional are then G-invariant, so the master has one
+row per orbit of behaviour entries (their sum), one column per orbit of
+strategy pairs, and one slack pair per row orbit; the EJM chain has 11 row
+orbits instead of 256.  The orbit
 weights of a LOCAL verdict are spread over their member pairs and one last
 weights-form solve over those pairs, 257 rows, returns a basic solution;
 when every weighted orbit is a single pair, as under the trivial group,
@@ -36,14 +38,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from .bases import TwoQubitBasis, ejm_basis
-from .errors import SYMMETRY_ATOL, ValidationError, finite_array, probability_array
+from .errors import (
+    RELABELLINGS,
+    ValidationError,
+    finite_array,
+    probability_array,
+    symmetry_group,
+)
 from .network import joint_distribution_naive, open_line
 
 LOCAL = "LOCAL"
@@ -54,13 +61,15 @@ RECONSTRUCTION_ATOL = 1e-8
 SEPARATION_MARGIN = 1e-9
 # How far each (x, y) slice of a target may sum away from 1.
 TARGET_ATOL = 1e-9
+# HiGHS's default feasibility tolerances, 1e-7, let a master's slacks hide a
+# distance from the polytope below ~1e-7; the reconstruction check then
+# fails, and a behaviour just outside gets INCONCLUSIVE instead of NONLOCAL.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 # Deterministic strategy i answers _OUTCOMES[i, x] on input x: the base-4
 # digits of i, most significant first.
 _PLACES = 4 ** np.arange(3, -1, -1)
 _OUTCOMES = (np.arange(256)[:, None] // _PLACES) % 4
-# The relabellings of {0, 1, 2, 3}; candidate symmetry g uses _RELABELLINGS[g // 2].
-_RELABELLINGS = np.array(list(permutations(range(4))))
 
 
 @dataclass(frozen=True)
@@ -135,30 +144,24 @@ def _l1_fit(a_eq: sparse.csc_matrix, b_eq: np.ndarray):
     """Solve min 1 . u+ + 1 . u- over ``a_eq`` [w, u+, u-] = ``b_eq``, all >= 0, with HiGHS."""
     n_slacks = 2 * (b_eq.size - 1)
     cost = np.concatenate([np.zeros(a_eq.shape[1] - n_slacks), np.ones(n_slacks)])
-    return linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs")
+    return linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs", options=_HIGHS_OPTIONS)
 
 
 @lru_cache(maxsize=1)
 def _candidate_row_perms() -> np.ndarray:
     """(48, 256) array: candidate g moves behaviour row r to row ``[g, r]``.
 
-    Candidate g applies the relabelling ``_RELABELLINGS[g // 2]`` to x, y,
+    Candidate g applies the relabelling ``RELABELLINGS[g // 2]`` to x, y,
     a and b at once, and for odd g also swaps the parties.
     """
     x, y, a, b = np.unravel_index(np.arange(256), (4, 4, 4, 4))
     images = []
-    for s in _RELABELLINGS:
+    for s in RELABELLINGS:
         images.append(np.ravel_multi_index((s[x], s[y], s[a], s[b]), (4, 4, 4, 4)))
         images.append(np.ravel_multi_index((s[y], s[x], s[b], s[a]), (4, 4, 4, 4)))
     images = np.array(images)
     images.setflags(write=False)
     return images
-
-
-def _symmetry_group(p: np.ndarray) -> tuple[int, ...]:
-    """The candidates (indices into :func:`_candidate_row_perms`) that leave ``p`` invariant."""
-    moved = np.max(np.abs(p[_candidate_row_perms()] - p), axis=1)
-    return tuple(np.flatnonzero(moved <= SYMMETRY_ATOL).tolist())
 
 
 def _column_image(g: int) -> np.ndarray:
@@ -167,7 +170,7 @@ def _column_image(g: int) -> np.ndarray:
     A relabelling s sends strategy f to s . f . s^-1; the swap exchanges
     the left and right strategies.
     """
-    s = _RELABELLINGS[g // 2]
+    s = RELABELLINGS[g // 2]
     moved = np.empty_like(_OUTCOMES)
     moved[:, s] = s[_OUTCOMES]
     strategy = (moved @ _PLACES).astype(np.int32)
@@ -219,7 +222,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     or a void margin or fit.
     """
     p = _behaviour(target)
-    row_orbit, representative = _orbits(_symmetry_group(p))
+    row_orbit, representative = _orbits(tuple(symmetry_group(p, _candidate_row_perms()).tolist()))
     b_eq = np.append(np.bincount(row_orbit, weights=p), 1.0)
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the input gates every validator uses."""
+"""Exception types, the input gates every validator uses, and the one symmetry detector."""
 
+import itertools
 import numbers
 
 import numpy as np
@@ -11,6 +12,30 @@ NEGATIVE_CLAMP = -1e-12
 # How far a target may move under a candidate relabelling that still counts
 # as one of its symmetries (the Bell LP's and the exhaustive search's groups).
 SYMMETRY_ATOL = 1e-13
+
+# The relabellings of {0, 1, 2, 3}, in ascending base-4 order.  Candidate
+# symmetry g applies RELABELLINGS[g // 2] to every label at once and, for
+# odd g, also swaps the parties (Bell LP) or reflects the triangle (search).
+RELABELLINGS = np.array(list(itertools.permutations(range(4))))
+RELABELLINGS.setflags(write=False)
+
+
+def symmetry_group(values: np.ndarray, cell_perms: np.ndarray) -> np.ndarray:
+    """The candidates that move the flat ``values`` by at most ``SYMMETRY_ATOL``.
+
+    ``cell_perms`` is the caller's (48, n) table: candidate g moves cell a
+    to cell ``cell_perms[g, a]``.  A set of candidates that is not closed
+    under composition is no group, and only the identity, candidate 0, is
+    returned.
+    """
+    group = np.flatnonzero(np.max(np.abs(values[cell_perms] - values), axis=1) <= SYMMETRY_ATOL)
+    # Candidate g after candidate h relabels by s_g . s_h and swaps (or
+    # reflects) if exactly one of them does.
+    relabel, swap = np.divmod(group, 2)
+    places = 4 ** np.arange(3, -1, -1)
+    composed = RELABELLINGS[relabel][:, RELABELLINGS[relabel]] @ places
+    products = 2 * np.searchsorted(RELABELLINGS @ places, composed) + (swap[:, None] ^ swap)
+    return group if np.isin(products, group).all() else np.zeros(1, dtype=int)
 
 
 class DomainError(ValueError):

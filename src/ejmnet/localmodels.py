@@ -22,13 +22,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    SYMMETRY_ATOL,
+    RELABELLINGS,
     CapacityError,
     DomainError,
     ValidationError,
     finite_array,
     integer_in_range,
     probability_array,
+    symmetry_group,
 )
 from .network import (
     POLYGON,
@@ -408,7 +409,7 @@ def exhaustive_search(
     source weights.  Without refinement the reported value is the witness
     re-scored through :func:`evaluate_model`.
 
-    The scan runs over a group G of relabellings (:func:`_triple_maps`):
+    The scan runs over a group G of relabellings (:func:`_first_tables`):
     those of each source's values, which keep a candidate's outcome table,
     and the target's own symmetries among the 24 outcome relabellings (one
     permutation applied to every party's outcome), each with or without the
@@ -418,19 +419,13 @@ def exhaustive_search(
     c = 2 for all-equal and ``ejm-triangle``, 22 for ``ejm-triangle-coarse``
     and 76 for a target with no symmetry.
 
-    The witness is still exactly that of the full scan.  A target is
-    invariant only to ``SYMMETRY_ATOL``, and an image candidate adds its hit
-    cells in another order, so the scores of one G-orbit can differ in the
-    last bits.  But every full-scan optimum has an image that starts with a
-    scanned table and scores within :func:`_score_slack` of the best scanned
-    score.  So the scanned candidates that close (the near-ties) are
-    expanded by all of G and their images rescored, in batches the size of
-    one first-party table's scan; the best score wins, ties going to the
-    smallest triple.  Where the images would outnumber the cells of such a
-    scan, the first-party tables they start with are scanned in full
-    instead, as the scan over source relabellings alone would scan them.
-    Where that scan would have scanned no table that this one has not, as
-    for a target with no symmetry, the scanned tables' own bests decide.
+    A target is invariant only to ``SYMMETRY_ATOL``, so the scan scores
+    against a snapped copy: each entry is replaced by that of the smallest
+    cell of its G-orbit and rounded to a multiple of 2^-50.  That copy is
+    exactly invariant, and every score on it is an exact float, so G maps
+    optima to optima and the smallest optimum starts with a scanned table.
+    The witness is the lexicographically smallest triple among the exact
+    ties on the snapped target, the one the full scan would find there.
     """
     c = _check_cardinality(
         cardinality, 2, "full enumeration handles cardinality <= 2 (4**(c*c) tables per party)"
@@ -480,115 +475,64 @@ def _best_triple(objective: str, c: int, target: np.ndarray | None) -> tuple[int
     rest = (4 * o1[:, :, None] + o2[:, None, :]).reshape(len(configs), -1)
     # Scores are negated for the maximised objective, so the best is the least.
     sign = -1.0 if objective == MAX_ALL_EQUAL else 1.0
-    # rows[r0]: best score and its first (r1, r2) column in a scanned first-party table.
-    rows = {}
-
-    def scan(r0):
-        score = _hit_scores(objective, 16 * o0[:, r0, None] + rest, target)
-        score *= sign
-        column = int(np.argmin(score))
-        rows[r0] = score[column], column
-        return score
-
     symmetries = _target_symmetries(target)
-    maps, slots = _triple_maps(c, symmetries)
-    slack = _score_slack(objective, len(configs), len(symmetries))
-    # kept[r0]: codes and scores of a scanned table's candidates within slack
-    # of the best so far, or None when their images would outnumber the
-    # cells of one scan.  A table whose best falls out of reach is dropped.
-    best, kept = np.inf, {}
-    for r0 in _first_tables(maps):
-        score = scan(r0)
-        best = min(best, rows[r0][0])
-        keep = np.flatnonzero(score <= best + slack)
-        kept[r0] = (r0 * n_tables**2 + keep, score[keep]) if keep.size * len(maps) <= rest.size else None
-        kept = {r: near for r, near in kept.items() if rows[r][0] <= best + slack}
-
-    # First-party tables that images start with and the scan over source
-    # relabellings alone would have scanned, but this one has not.
-    starts = np.unique(maps[:, 0][:, list(kept)])
-    source_scan = _first_tables(_triple_maps(c, _IDENTITY)[0])
-    unscanned = np.setdiff1d(np.intersect1d(starts, source_scan), list(rows))
-    near = None
-    if unscanned.size and None not in kept.values():
-        near = np.concatenate([codes[scores <= best + slack] for codes, scores in kept.values()])
-    if near is not None and len(near) * len(maps) <= rest.size:
-        near = np.stack(_triple_digits(near, n_tables), axis=1)
-        # Image of triple k under element g: its slot-j table is maps[g, j] of
-        # the table in slot slots[g, j].
-        moved = maps[np.arange(len(maps))[:, None, None], np.arange(3), near[:, slots].swapaxes(0, 1)]
-        codes = np.unique(moved.astype(np.int64) @ (n_tables ** np.arange(2, -1, -1)))
-        t0, t1, t2 = _triple_digits(codes, n_tables)
-        hits = 16 * o0[:, t0] + 4 * o1[:, t1] + o2[:, t2]
-        batch = rest.shape[1]
-        scores = sign * np.concatenate(
-            [_hit_scores(objective, hits[:, k : k + batch], target) for k in range(0, len(codes), batch)]
-        )
-    else:
-        for r0 in unscanned:
-            scan(r0)
-        codes = np.array([r0 * n_tables**2 + column for r0, (_, column) in rows.items()])
-        scores = np.array([score for score, _ in rows.values()])
-    return _triple_digits(int(codes[np.lexsort((codes, scores))[0]]), n_tables)
-
-
-def _triple_digits(codes, n_tables: int):
-    """Tables (t0, t1, t2) of triple codes t0 * n_tables**2 + t1 * n_tables + t2."""
-    return codes // n_tables**2, codes // n_tables % n_tables, codes % n_tables
-
-
-# Candidate g relabels every party's outcome by _OUTCOME_PERMS[g // 2] and,
-# for odd g, reflects the triangle.
-_OUTCOME_PERMS = np.array(list(itertools.permutations(range(4))))
-# Candidate 0 alone, whose group is the source relabellings.
-_IDENTITY = np.zeros(1, dtype=int)
+    if target is not None:
+        target = _snapped(target, symmetries)
+    best = (np.inf, 0, 0)
+    for r0 in _first_tables(c, symmetries):
+        score = sign * _hit_scores(objective, 16 * o0[:, r0, None] + rest, target)
+        column = int(np.argmin(score))
+        best = min(best, (score[column], int(r0), column))
+    return (best[1], *divmod(best[2], n_tables))
 
 
 @functools.lru_cache(maxsize=1)
 def _candidate_cell_perms() -> np.ndarray:
     """(48, 64) array: candidate g moves flat outcome cell a to cell ``[g, a]``.
 
-    The reflection maps party i to party -i mod 3, so it swaps the outcomes
-    of parties 1 and 2.
+    Candidate g relabels every party's outcome by ``RELABELLINGS[g // 2]``
+    and, for odd g, reflects the triangle.  The reflection maps party i to
+    party -i mod 3, so it swaps the outcomes of parties 1 and 2.
     """
     a0, a1, a2 = np.unravel_index(np.arange(64), (4, 4, 4))
     return np.array([
         np.ravel_multi_index(order, (4, 4, 4))
-        for s in _OUTCOME_PERMS
+        for s in RELABELLINGS
         for order in ((s[a0], s[a1], s[a2]), (s[a0], s[a2], s[a1]))
     ])
 
 
 def _target_symmetries(target: np.ndarray | None) -> np.ndarray:
-    """The candidates that move the flat ``target`` by at most ``SYMMETRY_ATOL``.
+    """The candidates of :func:`_candidate_cell_perms` that leave the flat ``target`` invariant.
 
-    Without a target (the all-equal objective) every candidate counts.  A
-    set of candidates that is not closed under composition is no group, and
-    only the identity, candidate 0, is kept.
+    Without a target (the all-equal objective) every candidate counts;
+    otherwise :func:`ejmnet.errors.symmetry_group` decides.
     """
     if target is None:
-        return np.arange(2 * len(_OUTCOME_PERMS))
-    perms = _candidate_cell_perms()
-    group = np.flatnonzero(np.max(np.abs(target[perms] - target), axis=1) <= SYMMETRY_ATOL)
-    # Candidate g after candidate h relabels by s_g . s_h and reflects if
-    # exactly one of them does; _OUTCOME_PERMS is in ascending base-4 order.
-    outcome, reflect = np.divmod(group, 2)
-    places = 4 ** np.arange(3, -1, -1)
-    composed = _OUTCOME_PERMS[outcome][:, _OUTCOME_PERMS[outcome]] @ places
-    products = 2 * np.searchsorted(_OUTCOME_PERMS @ places, composed) + (reflect[:, None] ^ reflect)
-    return group if np.isin(products, group).all() else _IDENTITY
+        return np.arange(2 * len(RELABELLINGS))
+    return symmetry_group(target, _candidate_cell_perms())
 
 
-def _triple_maps(c: int, symmetries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The group G acting on table triples, as ``maps`` (|G|, 3, n_tables) and ``slots`` (|G|, 3).
+def _snapped(target: np.ndarray, symmetries: np.ndarray) -> np.ndarray:
+    """The flat ``target`` made exactly invariant under ``symmetries``, on the 2^-50 grid.
 
-    Element g sends the triple (t0, t1, t2) to the one whose slot-j table is
-    ``maps[g, j][t[slots[g, j]]]``.  G holds, for every candidate of
-    ``symmetries`` and every value relabelling of the three sources, the
-    candidate's reflection (party i's table, transposed, moves to slot -i),
-    then the relabelling (each table's rows by its party's left source,
-    columns by its right source), then the outcome relabelling.  Table
-    indices are below 4**(c*c) <= 256, so ``maps`` is uint8.
+    Every entry becomes that of the smallest cell of its orbit, and then a
+    multiple of 2^-50.  On that grid every hit term and every partial sum of
+    a score (all below 4 in magnitude) is an exact float, so all group
+    images of a candidate score bit-equal.
+    """
+    moved = target[_candidate_cell_perms()[symmetries].min(axis=0)]
+    return np.ldexp(np.rint(np.ldexp(moved, 50)), -50)
+
+
+def _first_tables(c: int, symmetries: np.ndarray) -> np.ndarray:
+    """The first-party tables that are the smallest of their orbit under the scan's group G.
+
+    G holds, for every candidate of ``symmetries``, every value relabelling
+    of the three sources.  Party 0 keeps its place under the reflection, so
+    an element of G moves its table alone: it relabels the table's outcomes,
+    transposes it under the reflection, and relabels its rows and columns
+    by its two sources' values.
     """
     tables = _tables(c)
     places = 4 ** np.arange(c * c - 1, -1, -1)
@@ -598,36 +542,11 @@ def _triple_maps(c: int, symmetries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     oriented = np.stack([tables, tables.swapaxes(1, 2)])
     relabelled = oriented[:, :, values[:, None, :, None], values[None, :, None, :]]
     relabelled = relabelled.reshape(relabelled.shape[:4] + (-1,)) @ places
-    # outcome_maps[s, t]: table t with its outcomes relabelled by _OUTCOME_PERMS[s].
-    outcome_maps = (_OUTCOME_PERMS[:, tables.reshape(len(tables), -1)] @ places).astype(np.uint8)
+    # outcome_maps[s, t]: table t with its outcomes relabelled by RELABELLINGS[s].
+    outcome_maps = RELABELLINGS[:, tables.reshape(len(tables), -1)] @ places
     outcome, reflect = np.divmod(symmetries, 2)
     images = outcome_maps[outcome[:, None, None, None], relabelled[reflect]]
-    sources = np.array(list(itertools.product(range(len(values)), repeat=3)))
-    left, right = np.array([_TRIANGLE.party_sources(j) for j in range(3)]).T
-    maps = images[np.arange(len(symmetries))[:, None, None], :, sources[:, left], sources[:, right]]
-    slots = np.where(reflect[:, None, None], [0, 2, 1], [0, 1, 2])
-    slots = np.broadcast_to(slots, maps.shape[:3])
-    return maps.reshape(-1, 3, len(tables)), slots.reshape(-1, 3)
-
-
-def _first_tables(maps: np.ndarray) -> np.ndarray:
-    """The first-party tables that are the smallest of their orbit under the group of ``maps``."""
-    return np.flatnonzero(maps[:, 0].min(axis=0) == np.arange(maps.shape[2]))
-
-
-def _score_slack(objective: str, n_conf: int, n_symmetries: int) -> float:
-    """How far a group element can move a candidate's computed score.
-
-    Source relabellings keep it bit-equal, and all-equal counts are exact.
-    Otherwise a distance reads at most ``n_conf`` hit target cells, each
-    moved by at most ``SYMMETRY_ATOL`` (twice over for L1, whose hit terms
-    are |n/K - t| - t), and adds them in another order: a few ulps of sums
-    below 4 per hit cell.
-    """
-    if objective == MAX_ALL_EQUAL or n_symmetries == 1:
-        return 0.0
-    rounding = 8 * n_conf * np.finfo(float).eps
-    return (2 * n_conf if objective == MIN_L1 else 1) * SYMMETRY_ATOL + rounding
+    return np.flatnonzero(images.min(axis=(0, 2, 3)) == np.arange(len(tables)))
 
 
 def _hit_scores(objective: str, codes: np.ndarray, target: np.ndarray | None) -> np.ndarray:
@@ -664,9 +583,9 @@ def _hit_scores(objective: str, codes: np.ndarray, target: np.ndarray | None) ->
     if objective == MIN_L1:
         terms = gap - t
         terms[1:][repeat] = 0.0
-        # A plain left-to-right sum keeps one rounding order at every batch
-        # width; numpy's axis-0 sum changes order on narrow arrays.
-        return target.sum() + sum(terms)
+        # On the search's grid-rounded target every partial sum is exact, so
+        # the order numpy adds in cannot change a score.
+        return target.sum() + terms.sum(axis=0)
     gap[1:][repeat] = 0.0
     # At most K cells are hit, so the largest un-hit entry is among the K + 1
     # largest; visiting those in ascending order leaves the largest free one.

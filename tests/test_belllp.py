@@ -20,7 +20,6 @@ from ejmnet.belllp import (
     _master_matrix,
     _orbit_master_matrix,
     _orbits,
-    _symmetry_group,
     _vertex_matrix,
     bell_lp_check,
     chsh_value,
@@ -30,7 +29,7 @@ from ejmnet.belllp import (
     verify_certificate,
 )
 from ejmnet.cli import main
-from ejmnet.errors import ValidationError
+from ejmnet.errors import ValidationError, symmetry_group
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -47,6 +46,10 @@ def full_separation_optimum(target) -> float:
     )
     assert result.status == 0
     return -result.fun
+
+
+def detected_group(p) -> tuple[int, ...]:
+    return tuple(symmetry_group(np.ravel(p), _candidate_row_perms()).tolist())
 
 
 def vertex_mixture(rng, k) -> np.ndarray:
@@ -157,6 +160,18 @@ class TestColumnGeneration:
         assert check["margin"] > 1e-9
         assert np.max(np.abs(certificate.functional)) <= 1.0 + 1e-9
 
+    # A PR-box share v lifts a deterministic vertex's CHSH value from 2 to
+    # 2 + 2v, and the L1 distance to the polytope is 2v: down to v = 1e-9,
+    # far inside HiGHS's default 1e-7 feasibility tolerances.  The exponent
+    # is drawn, so every decade gets examples.
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.floats(min_value=-9.0, max_value=-3.0).map(lambda e: 10.0**e))
+    def test_pr_box_share_just_outside_the_polytope_is_nonlocal(self, v):
+        target = v * pr_box_target() + (1.0 - v) * vertex_mixture(np.random.default_rng(0), 1)
+        certificate = bell_lp_check(target)
+        assert certificate.verdict == NONLOCAL
+        assert abs(certificate.margin - 2.0 * v) < 1e-8
+
     @pytest.mark.parametrize("v", [1.0, 0.7])
     def test_margin_is_the_full_lp_optimum(self, v):
         target = v * pr_box_target() + (1.0 - v) * uniform_target()
@@ -228,7 +243,7 @@ class TestMaster:
     def test_single_pair_orbits_skip_the_weights_form_solve(self, monkeypatch):
         # A 6-vertex mixture has the trivial group, so every orbit is one pair.
         target = vertex_mixture(np.random.default_rng(6), 6)
-        assert _symmetry_group(target.ravel()) == (0,)
+        assert detected_group(target) == (0,)
         fits = []
         monkeypatch.setattr(belllp, "_l1_fit", lambda a, b: fits.append(a.shape) or _l1_fit(a, b))
         certificate = bell_lp_check(target)
@@ -253,14 +268,14 @@ SYMMETRIC_TARGETS = {
     "noisy-pr-box": (noisy_pr_box, 4),
     "mixture-6": (lambda: vertex_mixture(np.random.default_rng(6), 6), 1),
 }
-GROUPS = {name: _symmetry_group(target().ravel()) for name, (target, _) in SYMMETRIC_TARGETS.items()}
+GROUPS = {name: detected_group(target()) for name, (target, _) in SYMMETRIC_TARGETS.items()}
 
 
 class TestSymmetry:
     @pytest.mark.parametrize("name", SYMMETRIC_TARGETS)
     def test_detected_group_order(self, name):
         target, order = SYMMETRIC_TARGETS[name]
-        assert len(_symmetry_group(target().ravel())) == order
+        assert len(detected_group(target())) == order
 
     @pytest.mark.parametrize("name", GROUPS)
     def test_detected_group_is_closed_under_composition(self, name):
@@ -295,12 +310,13 @@ class TestSymmetry:
 
     def test_a_wrong_group_costs_no_verdict(self, monkeypatch):
         # Both certificates are re-checked on the full vertex matrix.
-        monkeypatch.setattr(belllp, "_symmetry_group", lambda p: tuple(range(48)))
+        monkeypatch.setattr(belllp, "symmetry_group", lambda p, perms: np.arange(48))
         assert bell_lp_check(vertex_mixture(np.random.default_rng(3), 6)).verdict != NONLOCAL
         assert bell_lp_check(pr_box_target()).verdict != LOCAL
 
-    # v stays off (0, 0.05): a PR-box share of ~6e-8 leaves a behaviour within
-    # HiGHS's 1e-7 feasibility tolerances of the polytope, and its verdict is INCONCLUSIVE.
+    # v stays off (0, 0.05): the reference full separation LP runs at HiGHS's
+    # default 1e-7 feasibility tolerances, and tiny PR-box shares are checked
+    # by test_pr_box_share_just_outside_the_polytope_is_nonlocal.
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(
         SEEDS,
@@ -312,7 +328,7 @@ class TestSymmetry:
         rng = np.random.default_rng(seed)
         p = (v * pr_box_target() + (1.0 - v) * vertex_mixture(rng, k)).ravel()
         target = p[_candidate_row_perms()[list(group)]].mean(axis=0)
-        assert set(_symmetry_group(target)) >= set(group)
+        assert set(detected_group(target)) >= set(group)
         certificate = bell_lp_check(target.reshape(4, 4, 4, 4))
         event(f"|G| = {len(group)}, {certificate.verdict}")
         if certificate.verdict == LOCAL:
