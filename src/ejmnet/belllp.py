@@ -17,12 +17,12 @@ The master is solved over symmetry orbits.  The symmetry group G of the
 target is every one of 48 candidates (one relabelling of {0, 1, 2, 3}
 applied to x, y, a and b at once, with or without the party swap) that
 leaves it invariant, or the identity alone when those are not closed under
-composition (:func:`ejmnet.errors.symmetry_group`).  Some optimal weights
-and some optimal functional are then G-invariant, so the master has one
-row per orbit of behaviour entries (their sum), one column per orbit of
-strategy pairs, and one slack pair per row orbit; the EJM chain has 11 row
-orbits instead of 256.  The orbit
-weights of a LOCAL verdict are spread over their member pairs and one last
+composition; :mod:`ejmnet.errors` numbers the candidates for this LP and
+the exhaustive triangle search alike.  Some optimal weights and some
+optimal functional are then G-invariant, so the master has one row per
+orbit of behaviour entries (their sum), one column per orbit of strategy
+pairs, and one slack pair per row orbit; the EJM chain has 11 row orbits
+instead of 256.  The orbit weights of a LOCAL verdict are spread over their member pairs and one last
 weights-form solve over those pairs, 257 rows, returns a basic solution;
 when every weighted orbit is a single pair, as under the trivial group,
 the master's own basic solution is one already and is used as it is.
@@ -45,8 +45,10 @@ from scipy.optimize import linprog
 
 from .bases import TwoQubitBasis, ejm_basis
 from .errors import (
-    RELABELLINGS,
+    CANDIDATE_RELABEL,
+    CANDIDATE_SWAP,
     ValidationError,
+    cell_perms,
     finite_array,
     probability_array,
     symmetry_group,
@@ -70,6 +72,8 @@ _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_toler
 # digits of i, most significant first.
 _PLACES = 4 ** np.arange(3, -1, -1)
 _OUTCOMES = (np.arange(256)[:, None] // _PLACES) % 4
+# The party swap exchanges x with y and a with b in a behaviour row [x, y, a, b].
+_PARTY_SWAP = (1, 0, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,9 @@ def _orbit_master_matrix(columns: np.ndarray, row_orbit: np.ndarray) -> sparse.c
 
     S sums the behaviour rows of each orbit (row r lies in orbit
     ``row_orbit[r]``), V_C is the ``columns`` of :func:`_vertex_matrix`, and
-    the two identities carry one slack pair per row orbit.
+    the two identities carry one slack pair per row orbit.  With
+    ``row_orbit = np.arange(256)``, S is the identity and this is the
+    weights-form matrix [V_C, I, -I].
     """
     n_rows = int(row_orbit.max()) + 1
     vertices = _vertex_matrix()[:, columns]
@@ -131,37 +137,11 @@ def _orbit_master_matrix(columns: np.ndarray, row_orbit: np.ndarray) -> sparse.c
     return sparse.vstack([behaviour_rows, sum_row[None, :]], format="csc")
 
 
-def _master_matrix(columns: np.ndarray) -> sparse.csc_matrix:
-    """``A_eq`` of the weights-form LP: [V_C, I, -I] over 256 behaviour rows and the weight-sum row.
-
-    V_C is the ``columns`` of :func:`_vertex_matrix` with a one appended in
-    row 256; the two identities carry the slacks u+ and u-.
-    """
-    return _orbit_master_matrix(columns, np.arange(256))
-
-
 def _l1_fit(a_eq: sparse.csc_matrix, b_eq: np.ndarray):
     """Solve min 1 . u+ + 1 . u- over ``a_eq`` [w, u+, u-] = ``b_eq``, all >= 0, with HiGHS."""
     n_slacks = 2 * (b_eq.size - 1)
     cost = np.concatenate([np.zeros(a_eq.shape[1] - n_slacks), np.ones(n_slacks)])
     return linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs", options=_HIGHS_OPTIONS)
-
-
-@lru_cache(maxsize=1)
-def _candidate_row_perms() -> np.ndarray:
-    """(48, 256) array: candidate g moves behaviour row r to row ``[g, r]``.
-
-    Candidate g applies the relabelling ``RELABELLINGS[g // 2]`` to x, y,
-    a and b at once, and for odd g also swaps the parties.
-    """
-    x, y, a, b = np.unravel_index(np.arange(256), (4, 4, 4, 4))
-    images = []
-    for s in RELABELLINGS:
-        images.append(np.ravel_multi_index((s[x], s[y], s[a], s[b]), (4, 4, 4, 4)))
-        images.append(np.ravel_multi_index((s[y], s[x], s[b], s[a]), (4, 4, 4, 4)))
-    images = np.array(images)
-    images.setflags(write=False)
-    return images
 
 
 def _column_image(g: int) -> np.ndarray:
@@ -170,12 +150,12 @@ def _column_image(g: int) -> np.ndarray:
     A relabelling s sends strategy f to s . f . s^-1; the swap exchanges
     the left and right strategies.
     """
-    s = RELABELLINGS[g // 2]
+    s = CANDIDATE_RELABEL[g]
     moved = np.empty_like(_OUTCOMES)
     moved[:, s] = s[_OUTCOMES]
     strategy = (moved @ _PLACES).astype(np.int32)
     pairs = strategy[:, None] * 256 + strategy[None, :]
-    return (pairs.T if g % 2 else pairs).ravel()
+    return (pairs.T if CANDIDATE_SWAP[g] else pairs).ravel()
 
 
 @lru_cache(maxsize=8)
@@ -185,7 +165,7 @@ def _orbits(group: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     The representative is the smallest member, a running minimum over the
     group's images of every pair.
     """
-    row_orbit = np.unique(_candidate_row_perms()[list(group)].min(axis=0), return_inverse=True)[1]
+    row_orbit = np.unique(cell_perms(_PARTY_SWAP)[list(group)].min(axis=0), return_inverse=True)[1]
     representative = np.arange(65536, dtype=np.int32)
     for g in group:
         np.minimum(representative, _column_image(g), out=representative)
@@ -222,7 +202,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     or a void margin or fit.
     """
     p = _behaviour(target)
-    row_orbit, representative = _orbits(tuple(symmetry_group(p, _candidate_row_perms()).tolist()))
+    row_orbit, representative = _orbits(tuple(symmetry_group(p, _PARTY_SWAP).tolist()))
     b_eq = np.append(np.bincount(row_orbit, weights=p), 1.0)
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
@@ -268,7 +248,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     # is already one in weights form.
     fit, fitted = master, columns
     if support.size > weighted.size:
-        fit, fitted = _l1_fit(_master_matrix(support), np.append(p, 1.0)), support
+        fit, fitted = _l1_fit(_orbit_master_matrix(support, np.arange(256)), np.append(p, 1.0)), support
         run["solver_status"] = fit.message
         if fit.status != 0:
             return LocalityCertificate(INCONCLUSIVE, **run)

@@ -1,5 +1,6 @@
 """Exception types, the input gates every validator uses, and the one symmetry detector."""
 
+import functools
 import itertools
 import numbers
 
@@ -13,29 +14,49 @@ NEGATIVE_CLAMP = -1e-12
 # as one of its symmetries (the Bell LP's and the exhaustive search's groups).
 SYMMETRY_ATOL = 1e-13
 
-# The relabellings of {0, 1, 2, 3}, in ascending base-4 order.  Candidate
-# symmetry g applies RELABELLINGS[g // 2] to every label at once and, for
-# odd g, also swaps the parties (Bell LP) or reflects the triangle (search).
-RELABELLINGS = np.array(list(itertools.permutations(range(4))))
-RELABELLINGS.setflags(write=False)
+# The 48 candidate symmetries: candidate g applies the permutation
+# CANDIDATE_RELABEL[g] of {0, 1, 2, 3} to every label at once and, where
+# CANDIDATE_SWAP[g], swaps the parties (Bell LP) or reflects the triangle
+# (search); each relabelling, in ascending base-4 order, comes first without
+# the swap.  CANDIDATE_PRODUCT[g, h] is g after h: the composed relabelling,
+# with the swap if exactly one of the two swaps.
+_RELABELLINGS = np.array(list(itertools.permutations(range(4))))
+CANDIDATE_RELABEL = np.repeat(_RELABELLINGS, 2, axis=0)
+CANDIDATE_SWAP = np.tile([False, True], len(_RELABELLINGS))
+_PLACES = 4 ** np.arange(3, -1, -1)
+CANDIDATE_PRODUCT = np.searchsorted(
+    2 * (CANDIDATE_RELABEL @ _PLACES) + CANDIDATE_SWAP,
+    2 * (CANDIDATE_RELABEL[:, CANDIDATE_RELABEL] @ _PLACES) + (CANDIDATE_SWAP[:, None] ^ CANDIDATE_SWAP),
+)
+for _table in (CANDIDATE_RELABEL, CANDIDATE_SWAP, CANDIDATE_PRODUCT):
+    _table.setflags(write=False)
 
 
-def symmetry_group(values: np.ndarray, cell_perms: np.ndarray) -> np.ndarray:
-    """The candidates that move the flat ``values`` by at most ``SYMMETRY_ATOL``.
+@functools.lru_cache(maxsize=2)
+def cell_perms(swap: tuple[int, ...]) -> np.ndarray:
+    """Read-only (48, 4**k): candidate g moves flat cell a to cell ``[g, a]``.
 
-    ``cell_perms`` is the caller's (48, n) table: candidate g moves cell a
-    to cell ``cell_perms[g, a]``.  A set of candidates that is not closed
-    under composition is no group, and only the identity, candidate 0, is
-    returned.
+    A cell is the base-4 index of k labels, the first most significant.  A
+    swapping candidate puts label ``swap[i]`` in place i: (1, 0, 3, 2) for
+    the Bell LP's rows [x, y, a, b], (0, 2, 1) for the triangle's outcomes.
     """
-    group = np.flatnonzero(np.max(np.abs(values[cell_perms] - values), axis=1) <= SYMMETRY_ATOL)
-    # Candidate g after candidate h relabels by s_g . s_h and swaps (or
-    # reflects) if exactly one of them does.
-    relabel, swap = np.divmod(group, 2)
-    places = 4 ** np.arange(3, -1, -1)
-    composed = RELABELLINGS[relabel][:, RELABELLINGS[relabel]] @ places
-    products = 2 * np.searchsorted(RELABELLINGS @ places, composed) + (swap[:, None] ^ swap)
-    return group if np.isin(products, group).all() else np.zeros(1, dtype=int)
+    labels = np.array(np.unravel_index(np.arange(4 ** len(swap)), (4,) * len(swap)))
+    placed = np.where(CANDIDATE_SWAP[:, None, None], labels[list(swap)], labels)
+    moved = CANDIDATE_RELABEL[np.arange(48)[:, None, None], placed]
+    perms = 4 ** np.arange(len(swap) - 1, -1, -1) @ moved
+    perms.setflags(write=False)
+    return perms
+
+
+def symmetry_group(values: np.ndarray, swap: tuple[int, ...]) -> np.ndarray:
+    """The candidates of :func:`cell_perms` that move the flat ``values`` by at most ``SYMMETRY_ATOL``.
+
+    A set of candidates that is not closed under ``CANDIDATE_PRODUCT`` is no
+    group, and only the identity, candidate 0, is returned.
+    """
+    group = np.flatnonzero(np.max(np.abs(values[cell_perms(swap)] - values), axis=1) <= SYMMETRY_ATOL)
+    closed = np.isin(CANDIDATE_PRODUCT[np.ix_(group, group)], group).all()
+    return group if closed else np.zeros(1, dtype=int)
 
 
 class DomainError(ValueError):

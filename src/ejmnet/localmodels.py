@@ -14,7 +14,6 @@ line with N+1 sources, party i reads (source i, source i+1).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -22,10 +21,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    RELABELLINGS,
+    CANDIDATE_RELABEL,
+    CANDIDATE_SWAP,
     CapacityError,
     DomainError,
     ValidationError,
+    cell_perms,
     finite_array,
     integer_in_range,
     probability_array,
@@ -46,6 +47,9 @@ MIN_LINF = "min-linf"
 OBJECTIVES = (MAX_ALL_EQUAL, MIN_L1, MIN_LINF)
 
 _TRIANGLE = NetworkTopology(POLYGON, 3)
+# The reflection of the triangle maps party i to party -i mod 3, so it swaps
+# the outcomes of parties 1 and 2 in a flat outcome cell [a0, a1, a2].
+_REFLECTION = (0, 2, 1)
 
 # Normalisation tolerance of source weights and response rows.
 _WEIGHT_ATOL = 1e-12
@@ -406,14 +410,14 @@ def exhaustive_search(
     the common source cardinality, at most 2); ties break towards the
     lexicographically smallest table triple.  With ``optimize_weights``
     (c = 2 only) the best triple is refined over a 1/64-step grid of binary
-    source weights.  Without refinement the reported value is the witness
-    re-scored through :func:`evaluate_model`.
+    source weights.  The reported value is the witness re-scored through
+    :func:`evaluate_model`.
 
     The scan runs over a group G of relabellings (:func:`_first_tables`):
     those of each source's values, which keep a candidate's outcome table,
-    and the target's own symmetries among the 24 outcome relabellings (one
-    permutation applied to every party's outcome), each with or without the
-    reflection of the triangle (:func:`_target_symmetries`).  Only the
+    and the target's symmetries among the 48 candidates of :mod:`ejmnet.errors`
+    (one permutation of every party's outcome, with or without the reflection
+    of the triangle); all-equal keeps them all.  Only the
     first-party tables that are the smallest of their G-orbit are scanned,
     each against every table pair of the other two parties: 7 of 256 at
     c = 2 for all-equal and ``ejm-triangle``, 22 for ``ejm-triangle-coarse``
@@ -438,14 +442,13 @@ def exhaustive_search(
     tables = [all_tables[t] for t in _best_triple(objective, c, target_flat)]
     weights = [np.full(c, 1.0 / c)] * 3
     if optimize_weights:
-        value, weights = _refine_binary_weights(objective, tables, target)
+        weights = _refine_binary_weights(objective, tables, target_flat)
     witness = RingLocalModel(
         _TRIANGLE,
         [HiddenSource(w) for w in weights],
         [ResponseTable.from_outcomes(t) for t in tables],
     )
-    if not optimize_weights:
-        value = _objective_value(objective, evaluate_model(witness).probs.reshape(-1), target_flat)
+    value = _objective_value(objective, evaluate_model(witness).probs.reshape(-1), target_flat)
     return SearchResult(objective, float(value), witness, len(all_tables) ** 3, bool(optimize_weights))
 
 
@@ -475,7 +478,8 @@ def _best_triple(objective: str, c: int, target: np.ndarray | None) -> tuple[int
     rest = (4 * o1[:, :, None] + o2[:, None, :]).reshape(len(configs), -1)
     # Scores are negated for the maximised objective, so the best is the least.
     sign = -1.0 if objective == MAX_ALL_EQUAL else 1.0
-    symmetries = _target_symmetries(target)
+    # The all-equal objective is invariant under every candidate.
+    symmetries = np.arange(48) if target is None else symmetry_group(target, _REFLECTION)
     if target is not None:
         target = _snapped(target, symmetries)
     best = (np.inf, 0, 0)
@@ -486,33 +490,6 @@ def _best_triple(objective: str, c: int, target: np.ndarray | None) -> tuple[int
     return (best[1], *divmod(best[2], n_tables))
 
 
-@functools.lru_cache(maxsize=1)
-def _candidate_cell_perms() -> np.ndarray:
-    """(48, 64) array: candidate g moves flat outcome cell a to cell ``[g, a]``.
-
-    Candidate g relabels every party's outcome by ``RELABELLINGS[g // 2]``
-    and, for odd g, reflects the triangle.  The reflection maps party i to
-    party -i mod 3, so it swaps the outcomes of parties 1 and 2.
-    """
-    a0, a1, a2 = np.unravel_index(np.arange(64), (4, 4, 4))
-    return np.array([
-        np.ravel_multi_index(order, (4, 4, 4))
-        for s in RELABELLINGS
-        for order in ((s[a0], s[a1], s[a2]), (s[a0], s[a2], s[a1]))
-    ])
-
-
-def _target_symmetries(target: np.ndarray | None) -> np.ndarray:
-    """The candidates of :func:`_candidate_cell_perms` that leave the flat ``target`` invariant.
-
-    Without a target (the all-equal objective) every candidate counts;
-    otherwise :func:`ejmnet.errors.symmetry_group` decides.
-    """
-    if target is None:
-        return np.arange(2 * len(RELABELLINGS))
-    return symmetry_group(target, _candidate_cell_perms())
-
-
 def _snapped(target: np.ndarray, symmetries: np.ndarray) -> np.ndarray:
     """The flat ``target`` made exactly invariant under ``symmetries``, on the 2^-50 grid.
 
@@ -521,7 +498,7 @@ def _snapped(target: np.ndarray, symmetries: np.ndarray) -> np.ndarray:
     a score (all below 4 in magnitude) is an exact float, so all group
     images of a candidate score bit-equal.
     """
-    moved = target[_candidate_cell_perms()[symmetries].min(axis=0)]
+    moved = target[cell_perms(_REFLECTION)[symmetries].min(axis=0)]
     return np.ldexp(np.rint(np.ldexp(moved, 50)), -50)
 
 
@@ -542,10 +519,9 @@ def _first_tables(c: int, symmetries: np.ndarray) -> np.ndarray:
     oriented = np.stack([tables, tables.swapaxes(1, 2)])
     relabelled = oriented[:, :, values[:, None, :, None], values[None, :, None, :]]
     relabelled = relabelled.reshape(relabelled.shape[:4] + (-1,)) @ places
-    # outcome_maps[s, t]: table t with its outcomes relabelled by RELABELLINGS[s].
-    outcome_maps = RELABELLINGS[:, tables.reshape(len(tables), -1)] @ places
-    outcome, reflect = np.divmod(symmetries, 2)
-    images = outcome_maps[outcome[:, None, None, None], relabelled[reflect]]
+    # outcome_maps[g, t]: table t with its outcomes relabelled as candidate g does.
+    outcome_maps = CANDIDATE_RELABEL[:, tables.reshape(len(tables), -1)] @ places
+    images = outcome_maps[symmetries[:, None, None, None], relabelled[CANDIDATE_SWAP[symmetries].astype(int)]]
     return np.flatnonzero(images.min(axis=(0, 2, 3)) == np.arange(len(tables)))
 
 
@@ -595,8 +571,8 @@ def _hit_scores(objective: str, codes: np.ndarray, target: np.ndarray | None) ->
     return np.maximum(gap.max(axis=0), unhit)
 
 
-def _refine_binary_weights(objective, tables, target):
-    """Grid-scan P(value=1) of each binary source in 1/64 steps.
+def _refine_binary_weights(objective, tables, target_flat):
+    """The best binary source weights on a grid of P(value=1) in 1/64 steps.
 
     The 65**3 grid is scanned in slabs of one first-source weight, in grid
     order, so ties keep the first grid point.
@@ -609,7 +585,6 @@ def _refine_binary_weights(objective, tables, target):
 
     grid = np.arange(65) / 64.0
     g1, g2 = np.meshgrid(grid, grid, indexing="ij")
-    target_flat = None if target is None else target.probs.reshape(-1)
     maximize = objective == MAX_ALL_EQUAL
     best_score, best_w = None, None
     for w0 in grid:
@@ -622,7 +597,7 @@ def _refine_binary_weights(objective, tables, target):
         idx = int(np.argmax(score) if maximize else np.argmin(score))
         if best_w is None or (score[idx] > best_score if maximize else score[idx] < best_score):
             best_score, best_w = score[idx], w[idx]
-    return float(best_score), [np.array([1.0 - wi, wi]) for wi in best_w]
+    return [np.array([1.0 - wi, wi]) for wi in best_w]
 
 
 def anneal_search(

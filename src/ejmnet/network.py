@@ -189,8 +189,11 @@ def dyadic_reconstruct(p: float, log2_denominator: int) -> DyadicProbability:
 
     The scalar case of :func:`dyadic_columns`: fails with NonDyadicError
     when ``p`` is not within its tolerance of a multiple of
-    ``2**-log2_denominator``; the result is reduced to lowest terms.
+    ``2**-log2_denominator``; the result is reduced to lowest terms.  Past
+    ``MAX_DYADIC_EXPONENT`` the tolerance admits irrational values, so a
+    finer grid is a DomainError.
     """
+    integer_in_range(log2_denominator, "log2_denominator", 0, MAX_DYADIC_EXPONENT)
     ok, num, log2den = dyadic_columns([p], log2_denominator)
     if not ok[0]:
         residual = abs(min(max(float(p), 0.0), 1.0) - math.ldexp(int(num[0]), -int(log2den[0])))

@@ -14,10 +14,9 @@ from ejmnet.belllp import (
     INCONCLUSIVE,
     LOCAL,
     NONLOCAL,
-    _candidate_row_perms,
+    _PARTY_SWAP,
     _column_image,
     _l1_fit,
-    _master_matrix,
     _orbit_master_matrix,
     _orbits,
     _vertex_matrix,
@@ -29,7 +28,7 @@ from ejmnet.belllp import (
     verify_certificate,
 )
 from ejmnet.cli import main
-from ejmnet.errors import ValidationError, symmetry_group
+from ejmnet.errors import ValidationError, cell_perms, symmetry_group
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -49,7 +48,7 @@ def full_separation_optimum(target) -> float:
 
 
 def detected_group(p) -> tuple[int, ...]:
-    return tuple(symmetry_group(np.ravel(p), _candidate_row_perms()).tolist())
+    return tuple(symmetry_group(np.ravel(p), _PARTY_SWAP).tolist())
 
 
 def vertex_mixture(rng, k) -> np.ndarray:
@@ -210,7 +209,8 @@ class TestMaster:
     @given(SEEDS, st.integers(min_value=1, max_value=300))
     def test_matrix_is_vertices_sum_row_and_slacks(self, seed, k):
         columns = np.random.default_rng(seed).choice(65536, size=k, replace=False)
-        a = _master_matrix(columns)
+        # The identity row orbits give the weights-form matrix.
+        a = _orbit_master_matrix(columns, np.arange(256))
         assert a.shape == (257, k + 512)
         assert a.has_sorted_indices
         dense = a.toarray()
@@ -280,14 +280,14 @@ class TestSymmetry:
     @pytest.mark.parametrize("name", GROUPS)
     def test_detected_group_is_closed_under_composition(self, name):
         group = GROUPS[name]
-        perms = _candidate_row_perms()
+        perms = cell_perms(_PARTY_SWAP)
         members = {tuple(perms[g]) for g in group}
         assert all(tuple(perms[g][perms[h]]) in members for g in group for h in group)
 
     def test_candidates_move_vertices_to_vertices(self):
         # Column c's 16 rows, moved by a candidate, are the rows of its column image.
         rows = _vertex_matrix().indices.reshape(65536, 16)
-        for g, perm in enumerate(_candidate_row_perms()):
+        for g, perm in enumerate(cell_perms(_PARTY_SWAP)):
             moved = np.sort(perm[rows], axis=1)
             assert np.array_equal(moved, rows[_column_image(g)]), g
 
@@ -296,7 +296,7 @@ class TestSymmetry:
         # The number of orbits is the mean number of points each element fixes.
         group = GROUPS[name]
         row_orbit, representative = _orbits(group)
-        perms = _candidate_row_perms()
+        perms = cell_perms(_PARTY_SWAP)
         row_fixed = sum(np.count_nonzero(perms[g] == np.arange(256)) for g in group)
         pair_fixed = sum(np.count_nonzero(_column_image(g) == np.arange(65536)) for g in group)
         assert row_orbit.max() + 1 == row_fixed / len(group)
@@ -310,7 +310,7 @@ class TestSymmetry:
 
     def test_a_wrong_group_costs_no_verdict(self, monkeypatch):
         # Both certificates are re-checked on the full vertex matrix.
-        monkeypatch.setattr(belllp, "symmetry_group", lambda p, perms: np.arange(48))
+        monkeypatch.setattr(belllp, "symmetry_group", lambda p, swap: np.arange(48))
         assert bell_lp_check(vertex_mixture(np.random.default_rng(3), 6)).verdict != NONLOCAL
         assert bell_lp_check(pr_box_target()).verdict != LOCAL
 
@@ -327,7 +327,7 @@ class TestSymmetry:
     def test_group_averaged_targets(self, seed, group, v, k):
         rng = np.random.default_rng(seed)
         p = (v * pr_box_target() + (1.0 - v) * vertex_mixture(rng, k)).ravel()
-        target = p[_candidate_row_perms()[list(group)]].mean(axis=0)
+        target = p[cell_perms(_PARTY_SWAP)[list(group)]].mean(axis=0)
         assert set(detected_group(target)) >= set(group)
         certificate = bell_lp_check(target.reshape(4, 4, 4, 4))
         event(f"|G| = {len(group)}, {certificate.verdict}")

@@ -1,12 +1,28 @@
-"""The one probability gate, alone and behind each entry point that uses it."""
+"""The one probability gate, alone and behind each entry point that uses it.
+
+Also the 48 symmetry candidates that the Bell LP and the triangle search share.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from ejmnet.bases import ejm_basis
-from ejmnet.belllp import bell_lp_check, uniform_target
-from ejmnet.errors import DomainError, ValidationError, integer_in_range, probability_array
-from ejmnet.localmodels import HiddenSource, ResponseTable, q_model, sample_model
+from ejmnet.belllp import _PARTY_SWAP, bell_lp_check, uniform_target
+from ejmnet.errors import (
+    CANDIDATE_PRODUCT,
+    CANDIDATE_RELABEL,
+    CANDIDATE_SWAP,
+    SYMMETRY_ATOL,
+    DomainError,
+    ValidationError,
+    cell_perms,
+    integer_in_range,
+    probability_array,
+    symmetry_group,
+)
+from ejmnet.localmodels import _REFLECTION, HiddenSource, ResponseTable, q_model, sample_model
 from ejmnet.network import JointDistribution, event_probability, open_line, polygon
 
 # name -> (valid input, atol, build(array), the stored array or None).  The
@@ -137,3 +153,45 @@ def test_integer_gate():
 def test_a_flag_is_not_a_count(call):
     with pytest.raises(DomainError, match="got True"):
         call()
+
+
+SWAPS = [_PARTY_SWAP, _REFLECTION]
+
+
+@pytest.mark.parametrize("swap", SWAPS)
+def test_cell_perms_relabel_every_label_then_swap(swap):
+    # Each relabelling in ascending base-4 order, first without the swap.
+    k = len(swap)
+    cells = list(itertools.product(range(4), repeat=k))
+    expected = [
+        [np.ravel_multi_index(tuple(s[cell[i]] for i in order), (4,) * k) for cell in cells]
+        for s in itertools.permutations(range(4))
+        for order in (range(k), swap)
+    ]
+    perms = cell_perms(swap)
+    assert np.array_equal(perms, expected)
+    assert not perms.flags.writeable
+
+
+@pytest.mark.parametrize("swap", SWAPS)
+def test_composition_law_matches_the_cell_perms(swap):
+    # symmetry_group's closure check reads CANDIDATE_PRODUCT; candidate g
+    # after candidate h moves cell a to perms[g, perms[h, a]].
+    perms = cell_perms(swap)
+    for g in range(48):
+        assert np.array_equal(perms[CANDIDATE_PRODUCT[g]], perms[g][perms]), g
+
+
+@pytest.mark.parametrize("swap", SWAPS)
+def test_a_set_not_closed_under_composition_is_no_group(swap):
+    # Entries 0.25 + d * phi(first label), phi = (0, 1, 2, 1): the cycle
+    # l -> l + 1 mod 4 moves them by d, within SYMMETRY_ATOL, but its square
+    # moves them by 2 d, beyond it.
+    d = 0.9 * SYMMETRY_ATOL
+    first = np.arange(4 ** len(swap)) // 4 ** (len(swap) - 1)
+    values = 0.25 + d * np.array([0.0, 1.0, 2.0, 1.0])[first]
+    moved = np.max(np.abs(values[cell_perms(swap)] - values), axis=1)
+    cycle = np.flatnonzero((CANDIDATE_RELABEL == [1, 2, 3, 0]).all(axis=1) & ~CANDIDATE_SWAP)[0]
+    assert moved[cycle] <= SYMMETRY_ATOL < moved[CANDIDATE_PRODUCT[cycle, cycle]]
+    assert symmetry_group(values, swap).tolist() == [0]
+    assert len(symmetry_group(np.full(values.size, 0.25), swap)) == 48

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ejmnet.errors import CapacityError, DomainError, ValidationError
+from ejmnet.errors import CapacityError, DomainError, ValidationError, cell_perms, symmetry_group
 from ejmnet.localmodels import (
     INITIAL_TEMPERATURE,
     MAX_ALL_EQUAL,
@@ -16,18 +16,17 @@ from ejmnet.localmodels import (
     OBJECTIVES,
     WEIGHT_MOVE_PROBABILITY,
     WEIGHT_STEP,
+    _REFLECTION,
     _TRIANGLE,
     AnnealSchedule,
     HiddenSource,
     ResponseTable,
     RingLocalModel,
-    _candidate_cell_perms,
     _contract,
     _first_tables,
     _hit_scores,
     _objective_value,
     _snapped,
-    _target_symmetries,
     anneal_search,
     asymmetric_model,
     evaluate_model,
@@ -135,7 +134,7 @@ def witness_codes(result):
 
 def subgroup(generators):
     """The group of outcome relabellings and reflection that ``generators`` generate."""
-    perms = _candidate_cell_perms()
+    perms = cell_perms(_REFLECTION)
     index = {p.tobytes(): g for g, p in enumerate(perms)}
     group = {0, *generators}
     while True:
@@ -151,7 +150,7 @@ def symmetrised_target(seed, generators, concentration):
     The average is invariant only up to rounding, as the EJM triangle is.
     """
     t = np.random.default_rng(seed).dirichlet(np.full(64, concentration))
-    probs = t[_candidate_cell_perms()[subgroup(generators)]].mean(axis=0)
+    probs = t[cell_perms(_REFLECTION)[subgroup(generators)]].mean(axis=0)
     return JointDistribution(_TRIANGLE, "symmetrised", probs.reshape(4, 4, 4))
 
 
@@ -184,7 +183,7 @@ def snapped(flat):
     Each entry becomes that of the smallest cell of its orbit under the
     detected symmetries, rounded to a multiple of 2^-50.
     """
-    moved = flat[_candidate_cell_perms()[_target_symmetries(flat)].min(axis=0)]
+    moved = flat[cell_perms(_REFLECTION)[symmetry_group(flat, _REFLECTION)].min(axis=0)]
     return np.ldexp(np.rint(np.ldexp(moved, 50)), -50)
 
 
@@ -585,15 +584,15 @@ class TestExhaustiveSearch:
         elif target is not None:
             target = request.getfixturevalue(target)
         flat = None if target is None else target.probs.reshape(-1)
-        assert len(_first_tables(2, _target_symmetries(flat))) == scanned
+        symmetries = np.arange(48) if flat is None else symmetry_group(flat, _REFLECTION)
+        assert len(_first_tables(2, symmetries)) == scanned
 
     def test_target_symmetries(self, triangle_ejm, triangle_ejm_coarse):
         # The EJM triangle depends only on the coincidence pattern.  Its coarse
         # grouping, supported on outcomes {1, 2}, keeps the 4 relabellings
         # that map {1, 2} to itself; each with or without the reflection.
-        assert len(_target_symmetries(triangle_ejm.probs.reshape(-1))) == 48
-        assert len(_target_symmetries(triangle_ejm_coarse.probs.reshape(-1))) == 8
-        assert len(_target_symmetries(None)) == 48
+        assert len(symmetry_group(triangle_ejm.probs.reshape(-1), _REFLECTION)) == 48
+        assert len(symmetry_group(triangle_ejm_coarse.probs.reshape(-1), _REFLECTION)) == 8
 
     def test_group_images_score_alike(self, triangle_ejm, triangle_ejm_coarse):
         # Every element maps a candidate's hit cells to those of a candidate
@@ -602,13 +601,14 @@ class TestExhaustiveSearch:
         o0, o1, o2 = triangle_outcomes()
         t0, t1, t2 = np.random.default_rng(0).integers(0, 256, size=(3, 20))
         codes = 16 * o0[:, t0] + 4 * o1[:, t1] + o2[:, t2]
-        perms = _candidate_cell_perms()
+        perms = cell_perms(_REFLECTION)
         for flat in (triangle_ejm.probs.reshape(-1), triangle_ejm_coarse.probs.reshape(-1)):
-            target = _snapped(flat, _target_symmetries(flat))
+            group = symmetry_group(flat, _REFLECTION)
+            target = _snapped(flat, group)
             assert np.array_equal(target, snapped(flat))
             for objective in OBJECTIVES:
                 scores = _hit_scores(objective, codes, target)
-                for g in _target_symmetries(flat):
+                for g in group:
                     assert np.array_equal(_hit_scores(objective, perms[g][codes], target), scores), g
 
     def test_weight_refinement_keeps_optimum(self):

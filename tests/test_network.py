@@ -17,6 +17,7 @@ from ejmnet.errors import (
     ValidationError,
 )
 from ejmnet.network import (
+    MAX_DYADIC_EXPONENT,
     JointDistribution,
     closed_form_line,
     closed_form_polygon,
@@ -125,6 +126,18 @@ class TestDyadicReconstruct:
         # 2**-20 is finer than the old 1e-6 acceptance, which took any float.
         with pytest.raises(NonDyadicError):
             dyadic_reconstruct(0.1, 20)
+
+    @pytest.mark.parametrize("p, k", [(1.0 / 3.0, 60), (math.sqrt(3.0) / 4.0, 48)])
+    def test_grid_past_the_largest_exponent_rejected(self, p, k):
+        # There the tolerance exceeds the grid spacing: these irrational
+        # values used to come back as 6004799503160661*2^-54 and
+        # 121882240180531*2^-48.
+        with pytest.raises(DomainError, match="log2_denominator"):
+            dyadic_reconstruct(p, k)
+
+    def test_largest_exponent_accepted(self):
+        d = dyadic_reconstruct(math.ldexp(3.0, -MAX_DYADIC_EXPONENT), MAX_DYADIC_EXPONENT)
+        assert (d.numerator, d.log2_denominator) == (3, MAX_DYADIC_EXPONENT)
 
 
 DYADIC_ATOL = 8 * np.finfo(float).eps
