@@ -9,7 +9,8 @@ exceeded, 64 usage error: an unknown subcommand or flag, or an unparseable
 or out-of-range flag value (``--n``, ``--max-n``, ``--q``, ``--cardinality``,
 an ``--event`` prefix length or outcomes, ``--n`` other than 3 for an
 exhaustive search, ``--optimize-weights`` with an anneal or a cardinality
-other than 2), which raises :class:`DomainError`.
+other than 2, ``--event`` with ``--format csv``), which raises
+:class:`DomainError`.
 
 Only ``bell-check`` and ``verify-all`` solve LPs and load scipy;
 ``verify-all --no-lp`` and the other commands need numpy alone.
@@ -46,9 +47,9 @@ from .localmodels import (
     evaluate_model,
     exhaustive_search,
     model_to_json_dict,
-    q_model,
-    q_model_all_equal,
     q_model_flag_audit,
+    q_model_scan,
+    zero_all_distinct_count,
 )
 from .network import (
     JointDistribution,
@@ -206,6 +207,8 @@ def _cmd_chain(args) -> int:
     top = NetworkTopology(args.topology, args.n)
     basis = basis_by_name(args.basis)
     if args.event:
+        if args.format == "csv":
+            raise DomainError("--event prints JSON only; drop --format csv")
         event = _parse_event_flag(args.event, args.n)
         p = event_probability(top, basis, event)
         # A prefix event's denominator is set by the prefix length alone.
@@ -296,10 +299,7 @@ def _cmd_qmodel(args) -> int:
         # The slack absorbs the rounding of a span that is a whole number of
         # steps; the clamp keeps the point it admits from landing past HI.
         qs = [min(lo + i * step, hi) for i in range(math.floor(span + 1e-9) + 1)]
-    rows = []
-    for q in qs:
-        p = coincidence_stats(evaluate_model(q_model(q))).p_all_equal
-        rows.append({"q": q, "p_all_equal": p, "closed_form": q_model_all_equal(q)})
+    rows = q_model_scan(qs)
     peak = max(rows, key=lambda r: r["p_all_equal"])
     payload = {
         "reproduces": "flagged-dit model all-equal rate (13+9q-9q^2)/64 with peak 61/256",
@@ -319,11 +319,6 @@ def _cmd_asym(args) -> int:
     model = asymmetric_model()
     dist = evaluate_model(model)
     stats = coincidence_stats(dist)
-    zero_distinct = sum(
-        1
-        for idx in np.ndindex(4, 4, 4)
-        if len(set(idx)) == 3 and dist.probs[idx] == 0.0
-    )
     _emit_json(
         args,
         {
@@ -331,7 +326,7 @@ def _cmd_asym(args) -> int:
             "p_all_equal": stats.p_all_equal,
             "p_pair_equal": stats.p_pair_equal,
             "p_cond_triple": stats.p_cond_triple,
-            "zero_all_distinct_patterns": zero_distinct,
+            "zero_all_distinct_patterns": zero_all_distinct_count(dist),
             "model": model_to_json_dict(model),
         },
     )
@@ -348,9 +343,7 @@ def _search_target(args):
     if name == "ejm-triangle-coarse":
         # Group outcomes {1,2} and {3,4} on every party, supported on {1,2}^3.
         coarse = np.zeros((4, 4, 4))
-        groups = np.array([0, 0, 1, 1])
-        for idx in np.ndindex(4, 4, 4):
-            coarse[tuple(groups[list(idx)])] += dist.probs[idx]
+        np.add.at(coarse, tuple(np.indices((4, 4, 4)) // 2), dist.probs)
         return JointDistribution(dist.topology, "ejm-coarse", coarse)
     raise DomainError(f"unknown search target {name!r}")
 
@@ -436,8 +429,7 @@ def _cmd_verify_all(args) -> int:
     results = verify.run_all_checks(tolerance=args.tol, include_lp=not args.no_lp)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        residual = "inf" if r.residual == float("inf") else f"{r.residual:.3g}"
-        sys.stderr.write(f"{status} {r.name} (residual {residual}) {r.detail}\n")
+        sys.stderr.write(f"{status} {r.name} (residual {r.residual:.3g}) {r.detail}\n")
     _emit_json(args, {"reproduces": "aggregate reproduction suite", **verify.summarize(results)})
     return 0 if all(r.passed for r in results) else 1
 

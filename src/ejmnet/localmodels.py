@@ -275,6 +275,15 @@ def q_model_all_equal(q: float) -> float:
     return (13.0 + 9.0 * q - 9.0 * q * q) / 64.0
 
 
+def q_model_scan(qs) -> list[dict]:
+    """P(all equal) of :func:`q_model` at each q, beside its closed form."""
+    rows = []
+    for q in qs:
+        p = coincidence_stats(evaluate_model(q_model(q))).p_all_equal
+        rows.append({"q": q, "p_all_equal": p, "closed_form": q_model_all_equal(q)})
+    return rows
+
+
 def q_model_flag_audit() -> list[dict]:
     """Conditional pair/triple rates of the q-model per flag combination.
 
@@ -333,6 +342,12 @@ def asymmetric_model() -> RingLocalModel:
         responses.append(ResponseTable.from_outcomes(outcomes))
     source = HiddenSource(np.array([0.5, 0.5]))
     return RingLocalModel(_TRIANGLE, (source,) * 3, responses)
+
+
+def zero_all_distinct_count(dist: JointDistribution) -> int:
+    """How many of a triangle's 24 all-distinct outcome triples have p = 0."""
+    a, b, c = np.indices((4, 4, 4))
+    return int(np.count_nonzero((a != b) & (b != c) & (c != a) & (dist.probs == 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import ejmnet
 from ejmnet import verify
 from ejmnet.bases import basis_by_name, basis_to_json_dict, ejm_basis
-from ejmnet.cli import _emit_table, _parser, build_parser, main
+from ejmnet.cli import _emit_table, _parser, _search_target, build_parser, main
 from ejmnet.errors import DomainError
 from ejmnet.network import (
     JointDistribution,
@@ -277,6 +278,10 @@ class TestSearchCommand:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_coarse_target_equals_the_loop_over_outcomes(self, triangle_ejm_coarse):
+        target = _search_target(SimpleNamespace(target="ejm-triangle-coarse"))
+        np.testing.assert_array_equal(target.probs, triangle_ejm_coarse.probs)
+
 
 class TestAsymCommand:
     def test_payload(self, capsys):
@@ -317,6 +322,37 @@ class TestVerifyAllCommand:
         assert code == 1
         payload = json.loads(out)
         assert payload["failed"] > 0
+
+    def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
+        from ejmnet import belllp
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken on purpose")
+
+        # Every library function a check reads raises, so every check does.
+        for name, obj in vars(verify).items():
+            if inspect.isfunction(obj) and obj.__module__ != verify.__name__:
+                monkeypatch.setattr(verify, name, broken)
+        monkeypatch.setattr(belllp, "bell_lp_check", broken)
+        results = verify.run_all_checks()
+        assert [r.name for r in results] == [
+            "basis-orthonormality",
+            "ejm-marginal-alignment",
+            "triangle-distribution",
+            "all-equal-closed-forms",
+            "transfer-vs-naive",
+            "conditional-asymptote",
+            "flagged-dit-audit",
+            "q-model-closed-form",
+            "asymmetric-model",
+            "classical-quantum-gap",
+            "line4-bell-membership",
+            "pr-box-separation",
+        ]
+        assert all(
+            not r.passed and r.residual == math.inf and r.detail == "RuntimeError: broken on purpose"
+            for r in results
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_library_rejects_unusable_tolerance(self, bad):
@@ -369,6 +405,7 @@ class TestUsageErrors:
             (["bell-check", "--target-file", "{huge}"], 1),
             (["search", "--method", "anneal", "--optimize-weights", "--steps", "10"], 64),
             (["search", "--cardinality", "1", "--optimize-weights"], 64),
+            (["line", "--n", "4", "--event", "all-equal", "--format", "csv"], 64),
         ],
     )
     @pytest.mark.filterwarnings("error")

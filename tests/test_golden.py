@@ -84,6 +84,8 @@ GOLDEN = [
         "polygon --n 40 --basis mp --event all-equal",
         "5a7b7e14d6dcb64cf900ec56572dc731e5f9a29a8d0cbc40f36c48865d486508",
     ),
+    ("verify-all", "c5d3f5af6fe5e1ceb6fac99166308d291a30de707dfd78dc1ae38a2abdb16f78"),
+    ("verify-all --no-lp", "5240a36174fd4afde867c9600a5a8be051cf8e803495761dc877e53fd05de495"),
 ]
 
 

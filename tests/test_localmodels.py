@@ -36,7 +36,9 @@ from ejmnet.localmodels import (
     q_model,
     q_model_all_equal,
     q_model_flag_audit,
+    q_model_scan,
     sample_model,
+    zero_all_distinct_count,
 )
 from ejmnet.network import POLYGON, JointDistribution, NetworkTopology, coincidence_stats
 
@@ -229,6 +231,13 @@ class TestQModel:
         assert best_q == 0.5
         assert abs(best_p - 61 / 256) < 1e-12
 
+    def test_scan_rows(self):
+        rows = q_model_scan([0.0, 0.3, 0.5])
+        assert [row["q"] for row in rows] == [0.0, 0.3, 0.5]
+        for row in rows:
+            assert row["p_all_equal"] == all_equal_probability(evaluate_model(q_model(row["q"])))
+            assert row["closed_form"] == q_model_all_equal(row["q"])
+
     def test_output_is_valid_distribution(self):
         dist = evaluate_model(q_model(0.3))
         assert float(dist.probs.min()) >= 0.0
@@ -282,6 +291,21 @@ class TestAsymmetricModel:
             if len(set(idx)) == 3 and dist.probs[idx] == 0.0
         )
         assert zeros == 20
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_zero_count_matches_a_loop_over_outcomes(self, seed):
+        rng = np.random.default_rng(seed)
+        keep = rng.random(64) < 0.5
+        keep[0] = True  # outcome (1, 1, 1), so some entry is nonzero
+        probs = rng.dirichlet(np.ones(64)) * keep
+        dist = JointDistribution(_TRIANGLE, "x", (probs / probs.sum()).reshape(4, 4, 4))
+        zeros = sum(
+            1
+            for idx in itertools.product(range(4), repeat=3)
+            if len(set(idx)) == 3 and dist.probs[idx] == 0.0
+        )
+        assert zero_all_distinct_count(dist) == zeros
 
     def test_deterministic_responses(self):
         model = asymmetric_model()
