@@ -100,45 +100,58 @@ def _emit_csv(args, fieldnames: list[str], rows: list[dict]):
 
 
 # One table entry as json.dumps(indent=2, sort_keys=True) prints it inside
-# "probabilities", with and without a dyadic field, and the same as a CSV row.
-_JSON_ENTRY_DYADIC = (
+# "probabilities" (head, outcome, tail), and the same as a CSV row (outcome,
+# tail), with and without a dyadic field.
+_JSON_HEAD_DYADIC = (
     '      {\n        "dyadic": {\n          "log2den": %d,\n          "num": %d\n        },\n'
-    '        "outcome": [\n%s\n        ],\n        "p": %r\n      }'
+    '        "outcome": [\n'
 )
-_JSON_ENTRY = '      {\n        "dyadic": null,\n        "outcome": [\n%s\n        ],\n        "p": %r\n      }'
-_CSV_ROW_DYADIC = "%s,%r,%d,%d\n"
-_CSV_ROW = "%s,%r,,\n"
+_JSON_HEAD = '      {\n        "dyadic": null,\n        "outcome": [\n'
+_JSON_TAIL = '\n        ],\n        "p": %r\n      }'
+_CSV_TAIL_DYADIC = ",%r,%d,%d\n"
+_CSV_TAIL = ",%r,,\n"
 
 
 def _emit_table(args, dist: JointDistribution):
     """Write a full outcome table as JSON or CSV.
 
-    The text is assembled from whole-table columns and equals what
+    The text is assembled from string templates and equals what
     ``json.dumps(indent=2, sort_keys=True)`` prints for the document around
     :func:`distribution_to_json_dict`, or ``csv.DictWriter`` for its rows;
     ``json.dumps`` with an indent cannot use CPython's C encoder.  Both
     modules print a float as its ``repr``.
+
+    A symmetric table takes few distinct values (three for the EJM
+    triangle), so each distinct float, grouped by its bits, is formatted
+    once: the dyadic gate and ``repr`` turn it into the text before and
+    after an outcome label, and each entry, in outcome order, is its
+    value's two pieces around its own label.
     """
     n = dist.n_parties
-    p = dist.probs.ravel()
-    ok, num, log2den = dyadic_fields(p, n)
-    columns = (p.tolist(), ok.tolist(), num.tolist(), log2den.tolist())
+    bits, which = np.unique(dist.probs.ravel().view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    ok, num, log2den = dyadic_fields(values, n)
+    columns = list(zip(values.tolist(), ok.tolist(), num.tolist(), log2den.tolist()))
+    which = which.tolist()
     if args.format == "csv":
         # csv's minimal quoting quotes an outcome only when it holds a comma.
         quote = '"' if n > 1 else ""
         outcomes = [quote + ",".join(o) + quote for o in itertools.product("1234", repeat=n)]
-        rows = [
-            _CSV_ROW_DYADIC % (o, value, numerator, k) if exact else _CSV_ROW % (o, value)
-            for o, value, exact, numerator, k in zip(outcomes, *columns)
+        tails = [
+            _CSV_TAIL_DYADIC % (value, numerator, k) if exact else _CSV_TAIL % value
+            for value, exact, numerator, k in columns
         ]
+        rows = [o + tails[i] for o, i in zip(outcomes, which)]
         _write(args, "outcome,p,dyadic_num,dyadic_log2den\n" + "".join(rows))
         return
     digits = [" " * 10 + a for a in "1234"]
     outcomes = [",\n".join(o) for o in itertools.product(digits, repeat=n)]
-    entries = [
-        _JSON_ENTRY_DYADIC % (k, numerator, o, value) if exact else _JSON_ENTRY % (o, value)
-        for o, value, exact, numerator, k in zip(outcomes, *columns)
+    heads = [
+        _JSON_HEAD_DYADIC % (k, numerator) if exact else _JSON_HEAD
+        for _, exact, numerator, k in columns
     ]
+    tails = [_JSON_TAIL % value for value, _, _, _ in columns]
+    entries = [heads[i] + o + tails[i] for o, i in zip(outcomes, which)]
     _write(
         args,
         "{\n"

@@ -590,28 +590,35 @@ def _refine_binary_weights(objective, tables, target_flat):
     """The best binary source weights on a grid of P(value=1) in 1/64 steps.
 
     The 65**3 grid is scanned in slabs of one first-source weight, in grid
-    order, so ties keep the first grid point.
+    order, so ties keep the first grid point.  A grid point's outcome table
+    mixes the eight tables of deterministic source values elementwise, one
+    source at a time (source 2, then 1, then 0 per slab), over only the
+    cells the objective reads.  The grid is exact: every weight is k/64 and
+    every deterministic table is 0/1, so each mixed entry and each partial
+    sum of one is a multiple of 2**-18 in [0, 1], and the tables are
+    bit-equal to those of any other order of evaluation.
     """
     combos = np.array(list(itertools.product((0, 1), repeat=3)))
     onehots = np.eye(2)[combos]  # (8, source, value)
     combo_tables = _contract(
         _TRIANGLE, [np.eye(4)[t] for t in tables], [onehots[:, s] for s in range(3)]
-    )  # (8, 64)
+    ).reshape(2, 2, 2, 64)  # (source 0, 1 and 2 values, cell)
+    maximize = objective == MAX_ALL_EQUAL
+    if maximize:
+        # The four all-equal cells, which _objective_value then sums whole.
+        combo_tables = combo_tables[..., ::21]
 
     grid = np.arange(65) / 64.0
-    g1, g2 = np.meshgrid(grid, grid, indexing="ij")
-    maximize = objective == MAX_ALL_EQUAL
+    on = grid[:, None]
+    mixed = (1.0 - on) * combo_tables[:, :, 0, None] + on * combo_tables[:, :, 1, None]
+    mixed = (1.0 - on[:, None]) * mixed[:, 0, None] + on[:, None] * mixed[:, 1, None]
+    mixed = mixed.reshape(2, 65 * 65, -1)  # (source 0 value, (w1, w2) in grid order, cell)
     best_score, best_w = None, None
     for w0 in grid:
-        w = np.stack([np.full(g1.size, w0), g1.ravel(), g2.ravel()], axis=1)  # (65**2, 3)
-        combo_probs = np.ones((w.shape[0], 8))
-        for s in range(3):
-            on = combos[:, s][None, :]
-            combo_probs *= np.where(on == 1, w[:, s : s + 1], 1.0 - w[:, s : s + 1])
-        score = _objective_value(objective, combo_probs @ combo_tables, target_flat)
+        score = _objective_value(objective, (1.0 - w0) * mixed[0] + w0 * mixed[1], target_flat)
         idx = int(np.argmax(score) if maximize else np.argmin(score))
         if best_w is None or (score[idx] > best_score if maximize else score[idx] < best_score):
-            best_score, best_w = score[idx], w[idx]
+            best_score, best_w = score[idx], (w0, grid[idx // 65], grid[idx % 65])
     return [np.array([1.0 - wi, wi]) for wi in best_w]
 
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ejmnet
@@ -109,6 +109,31 @@ class TestTableEmitter:
         dist = JointDistribution(top, "x", (probs / probs.sum()).reshape((4,) * n))
         buf = io.StringIO()
         args = SimpleNamespace(format=fmt, out=None, reproduces="random \u00e9 table")
+        with contextlib.redirect_stdout(buf):
+            _emit_table(args, dist)
+        assert buf.getvalue() == reference_table_text(fmt, dist, args.reproduces)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), TOPOLOGIES, st.sampled_from(["json", "csv"]))
+    @example(0, open_line(1), "json")
+    @example(0, open_line(1), "csv")
+    def test_tables_of_few_values_match_json_and_csv_modules(self, seed, top, fmt):
+        # Entries repeat a few pool values, scaled by 4**-n (exactly): signed
+        # zeros, dyadic and non-dyadic values, and two pairs 1 ulp apart
+        # (both of the dyadic pair pass the dyadic gate).  One cell takes
+        # the rest of the mass.
+        n = top.n_parties
+        rng = np.random.default_rng(seed)
+        pool = np.array(
+            [0.0, -0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), 1 / 3, 0.1, np.nextafter(0.1, 1.0)]
+        )
+        probs = np.ldexp(pool[rng.integers(0, pool.size, 4**n)], -2 * n)
+        rest = int(rng.integers(0, 4**n))
+        probs[rest] = 0.0
+        probs[rest] = 1.0 - probs.sum()
+        dist = JointDistribution(top, "x", probs.reshape((4,) * n))
+        buf = io.StringIO()
+        args = SimpleNamespace(format=fmt, out=None, reproduces="pooled table")
         with contextlib.redirect_stdout(buf):
             _emit_table(args, dist)
         assert buf.getvalue() == reference_table_text(fmt, dist, args.reproduces)
@@ -322,6 +347,16 @@ class TestVerifyAllCommand:
         assert code == 1
         payload = json.loads(out)
         assert payload["failed"] > 0
+
+    def test_zero_tolerance_reports_finite_residuals(self):
+        # Below the Gram residual (~5.6e-16) the basis check fails on its own
+        # residual, as every other check does, rather than raising.
+        results = verify.run_all_checks(tolerance=0.0, include_lp=False)
+        basis = results[0]
+        assert basis.name == "basis-orthonormality" and not basis.passed
+        assert 0.0 < basis.residual < 1e-15
+        assert basis.detail == "four bases, Gram + Schmidt"
+        assert all(math.isfinite(r.residual) for r in results)
 
     def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
         from ejmnet import belllp

@@ -86,6 +86,20 @@ GOLDEN = [
     ),
     ("verify-all", "c5d3f5af6fe5e1ceb6fac99166308d291a30de707dfd78dc1ae38a2abdb16f78"),
     ("verify-all --no-lp", "5240a36174fd4afde867c9600a5a8be051cf8e803495761dc877e53fd05de495"),
+    (
+        "line --n 8 --basis mp --format csv",
+        "f507298b344da583027db3f3a0918ce3aab3fbfdf5c25721d359b903657ec8bc",
+    ),
+    ("polygon --n 8 --basis ejmz", "0af544b9991d90efdb56d21edd3a1f3d5bedb7c3a89b0a72cdf174385d181453"),
+    ("line --n 7 --basis bsm", "ee14c1d3c0f56d477878c9fbcb67608e623a2abb8a895c83b9dcb71c30f2a208"),
+    (
+        "search --method exhaustive --objective l1 --target ejm-triangle --optimize-weights",
+        "c2db01769b1c334e16524980270cf886ec23c0e1aa145fcfe8058508a58fc8cd",
+    ),
+    (
+        "search --method exhaustive --objective linf --target ejm-triangle-coarse --optimize-weights",
+        "a23b64b5f64ef16c9ffb367ca35aa8a1e7aa45b61e7f6062d68810278eaf59e7",
+    ),
 ]
 
 

@@ -26,6 +26,7 @@ from ejmnet.localmodels import (
     _first_tables,
     _hit_scores,
     _objective_value,
+    _refine_binary_weights,
     _snapped,
     anneal_search,
     asymmetric_model,
@@ -492,6 +493,36 @@ class TestModelValidation:
                 HiddenSource.uniform(bad)
 
 
+def matmul_weight_refinement(objective, tables, target_flat):
+    """The 1/64-step weight grid scored through a matrix product per slab.
+
+    An independent reference for :func:`_refine_binary_weights`, which
+    mixes the deterministic tables elementwise: here each grid point's
+    eight source-value probabilities multiply the (8, 64) table of every
+    deterministic source-value combination.  Returns the three weight pairs.
+    """
+    combos = np.array(list(itertools.product((0, 1), repeat=3)))
+    onehots = np.eye(2)[combos]
+    combo_tables = _contract(
+        _TRIANGLE, [np.eye(4)[t] for t in tables], [onehots[:, s] for s in range(3)]
+    )
+    grid = np.arange(65) / 64.0
+    g1, g2 = np.meshgrid(grid, grid, indexing="ij")
+    maximize = objective == MAX_ALL_EQUAL
+    best_score, best_w = None, None
+    for w0 in grid:
+        w = np.stack([np.full(g1.size, w0), g1.ravel(), g2.ravel()], axis=1)
+        combo_probs = np.ones((w.shape[0], 8))
+        for s in range(3):
+            on = combos[:, s][None, :]
+            combo_probs *= np.where(on == 1, w[:, s : s + 1], 1.0 - w[:, s : s + 1])
+        score = _objective_value(objective, combo_probs @ combo_tables, target_flat)
+        idx = int(np.argmax(score) if maximize else np.argmin(score))
+        if best_w is None or (score[idx] > best_score if maximize else score[idx] < best_score):
+            best_score, best_w = score[idx], w[idx]
+    return [np.array([1.0 - wi, wi]) for wi in best_w]
+
+
 class TestExhaustiveSearch:
     def test_cardinality_one_max(self):
         result = exhaustive_search(1, MAX_ALL_EQUAL)
@@ -639,6 +670,21 @@ class TestExhaustiveSearch:
         result = exhaustive_search(2, MAX_ALL_EQUAL, optimize_weights=True)
         assert result.weights_refined
         assert result.value >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_weight_refinement_matches_matrix_product(self, objective, triangle_ejm):
+        # Random table triples, against the EJM triangle and a random target,
+        # and a constant triple, whose every grid point ties.
+        rng = np.random.default_rng(11)
+        dirichlet = rng.dirichlet(np.ones(64))
+        cases = [(rng.integers(0, 4, size=(3, 2, 2)), t) for t in (triangle_ejm.probs, dirichlet)]
+        cases.append((np.zeros((3, 2, 2), dtype=int), dirichlet))
+        for tables, target in cases:
+            target_flat = None if objective == MAX_ALL_EQUAL else target.reshape(-1)
+            got = _refine_binary_weights(objective, list(tables), target_flat)
+            want = matmul_weight_refinement(objective, list(tables), target_flat)
+            assert np.array_equal(got, want), (tables.tolist(), got, want)
+        assert np.array_equal(got, [[1.0, 0.0]] * 3)
 
     def test_weight_refinement_needs_cardinality_two(self):
         with pytest.raises(DomainError, match="cardinality 2"):
