@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .network import (
 )
 
 MAX_HIDDEN_CONFIGURATIONS = 10**8
+# Longest annealing schedule: about a minute at ~50 us a step.
+MAX_ANNEAL_STEPS = 10**6
 
 MAX_ALL_EQUAL = "max-all-equal"
 MIN_L1 = "min-l1"
@@ -238,6 +240,34 @@ def sample_model(model: RingLocalModel, shots: int, seed: int = 42) -> JointDist
 # Reference triangle models
 
 
+def _unit_q(q) -> np.ndarray:
+    """``q``, a value or a grid, as a float array; DomainError unless all lie in [0, 1]."""
+    arr = np.asarray(q, dtype=float)
+    outside = ~((0.0 <= arr) & (arr <= 1.0))  # NaN included
+    if outside.any():
+        raise DomainError(f"q must lie in [0, 1], got {float(arr[outside][0])}")
+    return arr
+
+
+def _q_weights(q) -> np.ndarray:
+    """Source weights (..., 8) of the q-model: 2*dit + flag weighs (q if flag else 1 - q)/4."""
+    q = _unit_q(q)
+    return np.tile(0.25 * np.stack([1.0 - q, q], axis=-1), 4)
+
+
+def _q_table() -> np.ndarray:
+    """The (8, 8, 4) response table of :func:`q_model`, shared by every q and every party."""
+    dit, flag = np.divmod(np.arange(8), 2)
+    copy_left = (1 + flag[:, None, None] - flag[:, None]) / 2  # 1 or 0 if one source is flagged
+    return copy_left * np.eye(4)[dit][:, None] + (1 - copy_left) * np.eye(4)[dit]
+
+
+_Q_TABLE = ResponseTable(_q_table()).table
+# Grid points per contraction in q_model_scan: ~2 MB of intermediates. Its
+# values are bit-equal to those of one contraction per point.
+Q_SCAN_CHUNK = 64
+
+
 def q_model(q: float) -> RingLocalModel:
     """Symmetric triangle model with flagged uniform 4-dits on every source.
 
@@ -247,41 +277,24 @@ def q_model(q: float) -> RingLocalModel:
     fair coin.  P(all three outcomes equal) = (13 + 9q - 9q^2)/64, maximal
     at q = 1/2.
     """
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q}")
-    weights = np.zeros(8)
-    for dit in range(4):
-        for flag in (0, 1):
-            weights[dit * 2 + flag] = 0.25 * (q if flag else 1.0 - q)
-    source = HiddenSource(weights)
-
-    table = np.zeros((8, 8, 4))
-    for left in range(8):
-        ldit, lflag = divmod(left, 2)
-        for right in range(8):
-            rdit, rflag = divmod(right, 2)
-            if lflag != rflag:
-                table[left, right, ldit if lflag else rdit] = 1.0
-            else:
-                table[left, right, ldit] += 0.5
-                table[left, right, rdit] += 0.5
-    return RingLocalModel(_TRIANGLE, (source,) * 3, (ResponseTable(table),) * 3)
+    source = HiddenSource(_q_weights(q))
+    return RingLocalModel(_TRIANGLE, (source,) * 3, (ResponseTable(_Q_TABLE),) * 3)
 
 
-def q_model_all_equal(q: float) -> float:
-    """Closed form for P(all equal) of :func:`q_model`."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q}")
+def q_model_all_equal(q):
+    """Closed form for P(all equal) of :func:`q_model`, elementwise over an array of q."""
+    q = _unit_q(q)
     return (13.0 + 9.0 * q - 9.0 * q * q) / 64.0
 
 
 def q_model_scan(qs) -> list[dict]:
     """P(all equal) of :func:`q_model` at each q, beside its closed form."""
-    rows = []
-    for q in qs:
-        p = coincidence_stats(evaluate_model(q_model(q))).p_all_equal
-        rows.append({"q": q, "p_all_equal": p, "closed_form": q_model_all_equal(q)})
-    return rows
+    weights, p_all_equal = _q_weights(qs), []
+    for start in range(0, len(weights), Q_SCAN_CHUNK):
+        probs = _contract(_TRIANGLE, (_Q_TABLE,) * 3, (weights[start : start + Q_SCAN_CHUNK],) * 3)
+        p_all_equal += _objective_value(MAX_ALL_EQUAL, probs, None).tolist()
+    rows = zip(qs, p_all_equal, q_model_all_equal(qs).tolist())
+    return [{"q": q, "p_all_equal": p, "closed_form": c} for q, p, c in rows]
 
 
 def q_model_flag_audit() -> list[dict]:
@@ -292,28 +305,15 @@ def q_model_flag_audit() -> list[dict]:
     beta the source between parties 2 and 0, and gamma the source between
     parties 0 and 1.  The rates are independent of q.
     """
-    base = q_model(0.5)
-    rows = []
-    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
-        flags = {0: gamma, 1: alpha, 2: beta}
-        sources = []
-        for s_idx in range(3):
-            w = np.zeros(8)
-            for dit in range(4):
-                w[dit * 2 + flags[s_idx]] = 0.25
-            sources.append(HiddenSource(w))
-        conditioned = replace(base, sources=tuple(sources))
-        stats = coincidence_stats(evaluate_model(conditioned))
-        rows.append(
-            {
-                "alpha_flag": alpha,
-                "beta_flag": beta,
-                "gamma_flag": gamma,
-                "p_pair_equal": stats.p_pair_equal,
-                "p_all_equal": stats.p_all_equal,
-            }
-        )
-    return rows
+    flags = np.array(list(itertools.product((0, 1), repeat=3)))
+    # Source s, flagged by gamma, alpha, beta, carries the weights at q = its flag.
+    probs = _contract(_TRIANGLE, (_Q_TABLE,) * 3, _q_weights(flags[:, [2, 0, 1]]).swapaxes(0, 1))
+    dists = (JointDistribution(_TRIANGLE, "local-model", p) for p in probs.reshape(8, 4, 4, 4))
+    return [
+        {"alpha_flag": alpha, "beta_flag": beta, "gamma_flag": gamma,
+         "p_pair_equal": s.p_pair_equal, "p_all_equal": s.p_all_equal}
+        for (alpha, beta, gamma), s in zip(flags.tolist(), map(coincidence_stats, dists))
+    ]
 
 
 def asymmetric_model() -> RingLocalModel:
@@ -370,6 +370,8 @@ class AnnealSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", integer_in_range(self.steps, "steps", 0))
+        if self.steps > MAX_ANNEAL_STEPS:
+            raise CapacityError(f"steps {self.steps} exceeds {MAX_ANNEAL_STEPS}")
         # Written so that NaN fails the check.
         if not 0.0 < self.cooling <= 1.0:
             raise DomainError(f"cooling must lie in (0, 1], got {self.cooling}")

@@ -441,6 +441,7 @@ class TestUsageErrors:
             (["search", "--method", "anneal", "--optimize-weights", "--steps", "10"], 64),
             (["search", "--cardinality", "1", "--optimize-weights"], 64),
             (["line", "--n", "4", "--event", "all-equal", "--format", "csv"], 64),
+            (["search", "--method", "anneal", "--steps", "1000001"], 2),
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -1,21 +1,26 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ejmnet import localmodels
 from ejmnet.errors import CapacityError, DomainError, ValidationError, cell_perms, symmetry_group
 from ejmnet.localmodels import (
     INITIAL_TEMPERATURE,
     MAX_ALL_EQUAL,
+    MAX_ANNEAL_STEPS,
     MIN_L1,
     MIN_LINF,
     OBJECTIVES,
     WEIGHT_MOVE_PROBABILITY,
     WEIGHT_STEP,
+    _Q_TABLE,
     _REFLECTION,
     _TRIANGLE,
     AnnealSchedule,
@@ -247,6 +252,116 @@ class TestQModel:
     def test_q_out_of_range(self):
         with pytest.raises(DomainError):
             q_model(1.5)
+
+
+def loop_q_model(q):
+    """The q-model with its weights and response table built cell by cell.
+
+    An independent reference for the vectorised :func:`q_model` and its
+    shared response table.
+    """
+    weights = np.zeros(8)
+    for dit in range(4):
+        for flag in (0, 1):
+            weights[dit * 2 + flag] = 0.25 * (q if flag else 1.0 - q)
+    table = np.zeros((8, 8, 4))
+    for left in range(8):
+        ldit, lflag = divmod(left, 2)
+        for right in range(8):
+            rdit, rflag = divmod(right, 2)
+            if lflag != rflag:
+                table[left, right, ldit if lflag else rdit] = 1.0
+            else:
+                table[left, right, ldit] += 0.5
+                table[left, right, rdit] += 0.5
+    return RingLocalModel(_TRIANGLE, (HiddenSource(weights),) * 3, (ResponseTable(table),) * 3)
+
+
+def loop_flag_audit():
+    """The flag audit with one model evaluated per flag combination.
+
+    An independent reference for :func:`q_model_flag_audit`, which
+    contracts the eight combinations at once.
+    """
+    base = loop_q_model(0.5)
+    rows = []
+    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
+        flags = {0: gamma, 1: alpha, 2: beta}
+        sources = []
+        for s_idx in range(3):
+            w = np.zeros(8)
+            for dit in range(4):
+                w[dit * 2 + flags[s_idx]] = 0.25
+            sources.append(HiddenSource(w))
+        stats = coincidence_stats(evaluate_model(replace(base, sources=tuple(sources))))
+        rows.append(
+            {
+                "alpha_flag": alpha,
+                "beta_flag": beta,
+                "gamma_flag": gamma,
+                "p_pair_equal": stats.p_pair_equal,
+                "p_all_equal": stats.p_all_equal,
+            }
+        )
+    return rows
+
+
+class TestQModelBatched:
+    def test_shared_table_equals_loop_built_table(self):
+        assert _Q_TABLE.tobytes() == loop_q_model(0.5).responses[0].table.tobytes()
+        assert not _Q_TABLE.flags.writeable
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0, 1e-300, 5e-324])
+    def test_model_equals_loop_built_model(self, q):
+        model, reference = q_model(q), loop_q_model(q)
+        for source, ref in zip(model.sources, reference.sources, strict=True):
+            assert source.weights.tobytes() == ref.weights.tobytes()
+        for response, ref in zip(model.responses, reference.responses, strict=True):
+            assert response.table.tobytes() == ref.table.tobytes()
+
+    def test_audit_equals_per_combination_loop(self):
+        assert q_model_flag_audit() == loop_flag_audit()
+
+    # Grid lengths are drawn uniformly from 0..300, so most grids span
+    # several chunks of Q_SCAN_CHUNK points and end inside one.
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    @example([])
+    @example([i / 100.0 for i in range(101)])
+    @example([i / 128.0 for i in range(129)])
+    def test_scan_is_bit_equal_to_per_point_evaluation(self, qs):
+        rows = q_model_scan(qs)
+        assert [row["q"] for row in rows] == qs
+        for row in rows:
+            q = row["q"]
+            assert row["p_all_equal"] == all_equal_probability(evaluate_model(q_model(q)))
+            assert row["closed_form"] == (13.0 + 9.0 * q - 9.0 * q * q) / 64.0
+            assert type(row["p_all_equal"]) is float and type(row["closed_form"]) is float
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), max_size=300),
+        st.sampled_from([1.5, math.nan, -1e-300, math.inf]),
+        st.integers(0, 300),
+    )
+    def test_scan_rejects_a_bad_point_before_contracting(self, qs, bad, where):
+        grid = qs[:where] + [bad] + qs[where:]
+        with mock.patch.object(localmodels, "_contract", side_effect=AssertionError("contracted")):
+            with pytest.raises(DomainError, match="q must lie in"):
+                q_model_scan(grid)
+
+    def test_scan_and_audit_evaluate_no_model_per_point(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("called per grid point")
+
+        calls = []
+        stats = localmodels.coincidence_stats
+        monkeypatch.setattr(localmodels, "q_model", forbidden)
+        monkeypatch.setattr(localmodels, "evaluate_model", forbidden)
+        monkeypatch.setattr(localmodels, "coincidence_stats", forbidden)
+        assert len(q_model_scan([i / 1000.0 for i in range(1001)])) == 1001
+        monkeypatch.setattr(localmodels, "coincidence_stats", lambda d: calls.append(d) or stats(d))
+        assert len(q_model_flag_audit()) == len(calls) == 8
 
 
 class TestFlagAudit:
@@ -806,6 +921,13 @@ class TestAnnealSearch:
     def test_schedule_accepts_domain_edges(self):
         AnnealSchedule(steps=0, cooling=1.0)
         AnnealSchedule(steps=np.int64(3))
+
+    def test_schedule_steps_capped(self):
+        # Only schedules are built here; no anneal runs at or past the cap.
+        assert AnnealSchedule(steps=MAX_ANNEAL_STEPS).steps == MAX_ANNEAL_STEPS
+        for steps in (MAX_ANNEAL_STEPS + 1, np.int64(10**9), 10**18):
+            with pytest.raises(CapacityError, match="steps"):
+                AnnealSchedule(steps=steps)
 
 
 def full_recontraction_anneal(c, objective, target, top, seed, schedule):
