@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -75,19 +76,23 @@ def _read_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(args, text: str):
+def _write(args, chunks):
+    """Write text chunks in order to stdout, or to the ``--out`` file, opened once."""
     out = getattr(args, "out", None)
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    if not out:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_json(args, payload: dict):
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _emit_csv(args, fieldnames: list[str], rows: list[dict]):
@@ -96,7 +101,7 @@ def _emit_csv(args, fieldnames: list[str], rows: list[dict]):
     writer.writeheader()
     for row in rows:
         writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in fieldnames})
-    _write(args, buf.getvalue())
+    _write(args, [buf.getvalue()])
 
 
 # One table entry as json.dumps(indent=2, sort_keys=True) prints it inside
@@ -111,9 +116,13 @@ _JSON_TAIL = '\n        ],\n        "p": %r\n      }'
 _CSV_TAIL_DYADIC = ",%r,%d,%d\n"
 _CSV_TAIL = ",%r,,\n"
 
+# A full table is written in blocks of the 4**TABLE_BLOCK_PARTIES entries
+# (256, ~70 kB of JSON) that differ only in their last parties' outcomes.
+TABLE_BLOCK_PARTIES = 4
+
 
 def _emit_table(args, dist: JointDistribution):
-    """Write a full outcome table as JSON or CSV.
+    """Write a full outcome table as JSON or CSV, one block of entries at a time.
 
     The text is assembled from string templates and equals what
     ``json.dumps(indent=2, sort_keys=True)`` prints for the document around
@@ -124,48 +133,64 @@ def _emit_table(args, dist: JointDistribution):
     A symmetric table takes few distinct values (three for the EJM
     triangle), so each distinct float, grouped by its bits, is formatted
     once: the dyadic gate and ``repr`` turn it into the text before and
-    after an outcome label, and each entry, in outcome order, is its
-    value's two pieces around its own label.
+    after an outcome label.  All of that is done before the first write.
+    The entries then go out in blocks of the 4**k that share their first
+    N - k outcomes (k = min(N, TABLE_BLOCK_PARTIES)): each entry is its
+    value's two pieces around its block's label prefix and one of the 4**k
+    labels of the last k parties.  Neither the 4**N labels nor the whole
+    text is ever held.
     """
     n = dist.n_parties
     bits, which = np.unique(dist.probs.ravel().view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
     ok, num, log2den = dyadic_fields(values, n)
     columns = list(zip(values.tolist(), ok.tolist(), num.tolist(), log2den.tolist()))
-    which = which.tolist()
     if args.format == "csv":
         # csv's minimal quoting quotes an outcome only when it holds a comma.
-        quote = '"' if n > 1 else ""
-        outcomes = [quote + ",".join(o) + quote for o in itertools.product("1234", repeat=n)]
+        digits, between, quote = "1234", ",", '"' if n > 1 else ""
+        heads = [""] * len(columns)
         tails = [
             _CSV_TAIL_DYADIC % (value, numerator, k) if exact else _CSV_TAIL % value
             for value, exact, numerator, k in columns
         ]
-        rows = [o + tails[i] for o, i in zip(outcomes, which)]
-        _write(args, "outcome,p,dyadic_num,dyadic_log2den\n" + "".join(rows))
-        return
-    digits = [" " * 10 + a for a in "1234"]
-    outcomes = [",\n".join(o) for o in itertools.product(digits, repeat=n)]
-    heads = [
-        _JSON_HEAD_DYADIC % (k, numerator) if exact else _JSON_HEAD
-        for _, exact, numerator, k in columns
-    ]
-    tails = [_JSON_TAIL % value for value, _, _, _ in columns]
-    entries = [heads[i] + o + tails[i] for o, i in zip(outcomes, which)]
-    _write(
-        args,
-        "{\n"
-        '  "distribution": {\n'
-        f'    "basis": {json.dumps(dist.basis_label)},\n'
-        f'    "n": {n},\n'
-        '    "probabilities": [\n'
-        + ",\n".join(entries)
-        + "\n    ],\n"
-        f'    "topology": {json.dumps(dist.topology.kind)}\n'
-        "  },\n"
-        f'  "reproduces": {json.dumps(args.reproduces)}\n'
-        "}\n",
-    )
+        sep, opening, closing = "", "outcome,p,dyadic_num,dyadic_log2den\n", ""
+    else:
+        digits, between, quote = [" " * 10 + a for a in "1234"], ",\n", ""
+        heads = [
+            _JSON_HEAD_DYADIC % (k, numerator) if exact else _JSON_HEAD
+            for _, exact, numerator, k in columns
+        ]
+        tails = [_JSON_TAIL % value for value, _, _, _ in columns]
+        sep = ",\n"
+        opening = (
+            "{\n"
+            '  "distribution": {\n'
+            f'    "basis": {json.dumps(dist.basis_label)},\n'
+            f'    "n": {n},\n'
+            '    "probabilities": [\n'
+        )
+        closing = (
+            "\n    ],\n"
+            f'    "topology": {json.dumps(dist.topology.kind)}\n'
+            "  },\n"
+            f'  "reproduces": {json.dumps(args.reproduces)}\n'
+            "}\n"
+        )
+    block_parties = min(n, TABLE_BLOCK_PARTIES)
+    lead = itertools.product([d + between for d in digits], repeat=n - block_parties)
+    prefixes = [quote + "".join(o) for o in lead]
+    labels = [between.join(o) + quote for o in itertools.product(digits, repeat=block_parties)]
+
+    def blocks():
+        yield opening
+        width = len(labels)
+        for b, prefix in enumerate(prefixes):
+            ids = which[b * width : (b + 1) * width].tolist()
+            entries = [heads[i] + prefix + label + tails[i] for label, i in zip(labels, ids)]
+            yield (sep if b else "") + sep.join(entries)
+        yield closing
+
+    _write(args, blocks())
 
 
 def _parse_event_flag(raw: str, n: int):
@@ -292,7 +317,7 @@ def _cmd_stats(args) -> int:
         _JSON_PATTERN_CLASS % (key, c["count"], c["max"], c["min"], c["total"])
         for key, c in sorted(stats.pattern_classes.items())
     )
-    _write(args, _JSON_STATS % text)
+    _write(args, [_JSON_STATS % text])
     return 0
 
 
@@ -585,7 +610,16 @@ def main(argv=None) -> int:
 
 
 def console_entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`ejmnet line --n 8 | head`): what it
+        # read is all it wanted.  Stdout goes to devnull so the interpreter's
+        # exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

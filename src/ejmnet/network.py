@@ -44,6 +44,11 @@ POLYGON = "polygon"
 
 # Full 4**N tables are only built up to this many parties.
 MAX_NAIVE_PARTIES = 8
+# Rows per BLAS call of the direct contraction.  OpenBLAS runs a complex
+# (M, 4) @ (4, 4) product on the calling thread alone while M < 4096; at
+# M >= 4096 it wakes a second thread, and waking it stalled some calls by
+# tens of milliseconds on a 2-core VM.
+NAIVE_BLOCK_ROWS = 2048
 # Transfer-matrix event queries are supported up to this many parties.
 MAX_EVENT_PARTIES = 64
 
@@ -240,14 +245,21 @@ def joint_distribution_naive(top: NetworkTopology, basis: TwoQubitBasis) -> Join
     labels = []
     for j in range(top.n_sources):
         labels += [("f", j), ("s", j)]
-    projectors = basis.states.conj().reshape(4, 2, 2)
+    # One column per outcome: its conjugated basis state over (left, right) qubits.
+    projectors = basis.states.conj().T.copy()
 
     for i in range(n):
         left, right = top.party_sources(i)
         pl, pr = labels.index(("s", left)), labels.index(("f", right))
         # Qubit axes always precede accumulated outcome axes, so positions in
         # `labels` are positions in the array.
-        out = np.tensordot(out, projectors, axes=([pl, pr], [1, 2]))
+        rest = [k for k in range(out.ndim) if k not in (pl, pr)]
+        rows = out.transpose(rest + [pl, pr]).reshape(-1, 4)
+        # One stacked product over blocks of at most NAIVE_BLOCK_ROWS rows keeps
+        # each BLAS call on the calling thread.  This sizes the calls; it pins
+        # no thread count.
+        blocks = rows.reshape(-1, min(len(rows), NAIVE_BLOCK_ROWS), 4)
+        out = (blocks @ projectors).reshape([out.shape[k] for k in rest] + [4])
         labels = [lab for k, lab in enumerate(labels) if k not in (pl, pr)]
 
     probs = np.abs(out) ** 2

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -182,6 +183,104 @@ class TestTableEmitter:
                         exact = math.ldexp(dyadic["num"], -dyadic["log2den"])
                         assert abs(exact - entry["p"]) <= tolerance
         assert fields > 0
+
+
+class WriteCounter:
+    """A text sink that counts its writes and keeps them, unless told not to."""
+
+    def __init__(self, keep=True):
+        self.keep = keep
+        self.sizes, self.chunks = [], []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        if self.keep:
+            self.chunks.append(text)
+        return len(text)
+
+
+class TestTableStream:
+    """A full table goes out in blocks of 256 entries, never as one text."""
+
+    @pytest.fixture(scope="class")
+    def line8(self, ejm):
+        return joint_distribution_naive(open_line(8), ejm)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blocks_concatenate_to_the_table(self, line8, fmt):
+        args = SimpleNamespace(format=fmt, out=None, reproduces=TABLE_REPRODUCES)
+        sink = WriteCounter()
+        with contextlib.redirect_stdout(sink):
+            _emit_table(args, line8)
+        assert len(sink.sizes) >= 256
+        assert max(sink.sizes) <= 100_000
+        text, want = "".join(sink.chunks), reference_table_text(fmt, line8, TABLE_REPRODUCES)
+        # Bare ``text == want`` would have pytest diff 17 MB when it fails.
+        same = text == want
+        assert same, f"differs from character {len(os.path.commonprefix([text, want]))}"
+
+    def test_peak_memory_is_a_fraction_of_the_text(self, line8):
+        args = SimpleNamespace(format="json", out=None, reproduces=TABLE_REPRODUCES)
+        sink = WriteCounter(keep=False)
+        with contextlib.redirect_stdout(sink):
+            _emit_table(args, line8)  # warm every lazy import
+            sink.sizes.clear()
+            tracemalloc.start()
+            try:
+                _emit_table(args, line8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sum(sink.sizes) == 17_293_046
+        assert peak < sum(sink.sizes) / 2
+
+    def test_a_table_failing_the_dyadic_gate_writes_nothing(self, tmp_path):
+        # A stand-in for a JointDistribution, which would reject an entry above 1.
+        top = open_line(2)
+        dist = SimpleNamespace(n_parties=2, probs=np.full((4, 4), 1.5), basis_label="x", topology=top)
+        sink = WriteCounter()
+        args = SimpleNamespace(format="json", out=None, reproduces="x")
+        with contextlib.redirect_stdout(sink), pytest.raises(DomainError):
+            _emit_table(args, dist)
+        assert sink.chunks == []
+        path = tmp_path / "kept.json"
+        path.write_text("kept", encoding="utf-8")
+        args = SimpleNamespace(format="csv", out=str(path), reproduces="x")
+        with pytest.raises(DomainError):
+            _emit_table(args, dist)
+        assert path.read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["line", "--n", "6"],
+            ["polygon", "--n", "5", "--format", "csv"],
+            ["triangle"],
+            ["line", "--n", "1", "--format", "csv"],
+        ],
+    )
+    def test_out_file_equals_stdout(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "table.txt"
+        code, empty, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and empty == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_a_closed_pipe_exits_zero_in_silence(self):
+        src = str(Path(ejmnet.__file__).parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "ejmnet.cli", "line", "--n", "8"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert len(head) == 100 and code == 0
+        assert err == b""
 
 
 class TestStatsCommand:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ejmnet import network
 from ejmnet.bases import TwoQubitBasis, basis_by_name
 from ejmnet.errors import (
     CapacityError,
@@ -16,6 +17,7 @@ from ejmnet.errors import (
     UnknownEventError,
     ValidationError,
 )
+from ejmnet.linalg import singlet, tensor
 from ejmnet.network import (
     MAX_DYADIC_EXPONENT,
     JointDistribution,
@@ -239,6 +241,40 @@ class TestNaiveAgainstClosedForms:
     def test_capacity_bound(self, ejm):
         with pytest.raises(CapacityError):
             joint_distribution_naive(polygon(9), ejm)
+
+
+def tensordot_naive(top, basis):
+    """The direct contraction as one ``np.tensordot`` per party."""
+    state = singlet()
+    for _ in range(top.n_sources - 1):
+        state = tensor(state, singlet())
+    out = state.reshape((2,) * (2 * top.n_sources))
+    labels = []
+    for j in range(top.n_sources):
+        labels += [("f", j), ("s", j)]
+    projectors = basis.states.conj().reshape(4, 2, 2)
+    for i in range(top.n_parties):
+        left, right = top.party_sources(i)
+        pl, pr = labels.index(("s", left)), labels.index(("f", right))
+        out = np.tensordot(out, projectors, axes=([pl, pr], [1, 2]))
+        labels = [lab for k, lab in enumerate(labels) if k not in (pl, pr)]
+    probs = np.abs(out) ** 2
+    if top.kind == "line":
+        probs = probs.sum(axis=(0, 1))
+    return probs
+
+
+class TestNaiveBlocks:
+    @pytest.mark.parametrize("name", ["ejm", "ejmz", "mp", "bsm"])
+    def test_bit_equal_to_tensordot(self, monkeypatch, name):
+        basis = basis_by_name(name)
+        # The direct route stays independent of the transfer-matrix route.
+        monkeypatch.setattr(network, "transfer_matrices", None)
+        for top in [open_line(n) for n in range(1, 9)] + [polygon(n) for n in range(2, 9)]:
+            got = joint_distribution_naive(top, basis).probs
+            want = tensordot_naive(top, basis)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (top, name)
 
 
 class TestEventProbability:
