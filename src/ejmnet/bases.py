@@ -71,7 +71,6 @@ class BasisDiagnostics:
     partial_bloch_norms: np.ndarray   # (4,)
     schmidt: np.ndarray               # (4, 2), descending per state
     schmidt_sum_residual: float       # max_j |s1^2 + s2^2 - 1|
-    bloch_schmidt_residual: float     # max_j ||b|^2 + 4 (s1 s2)^2 - 1|
 
 
 def _phase_fixed(state: np.ndarray) -> np.ndarray:
@@ -231,9 +230,6 @@ def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> B
     norms = np.linalg.norm(first, axis=1)
     schmidt = np.array([schmidt_coefficients(s) for s in states])
     sum_residual = float(np.max(np.abs((schmidt**2).sum(axis=1) - 1.0)))
-    # For any two-qubit pure state |b|^2 + 4 (s1 s2)^2 = (s1^2 + s2^2)^2 = 1.
-    consistency = norms**2 + 4.0 * (schmidt[:, 0] * schmidt[:, 1]) ** 2
-    bloch_schmidt_residual = float(np.max(np.abs(consistency - 1.0)))
     return BasisDiagnostics(
         label=basis.label,
         gram_residual=residual,
@@ -243,7 +239,6 @@ def validate_basis(basis: TwoQubitBasis, atol: float = ORTHONORMALITY_ATOL) -> B
         partial_bloch_norms=norms,
         schmidt=schmidt,
         schmidt_sum_residual=sum_residual,
-        bloch_schmidt_residual=bloch_schmidt_residual,
     )
 
 

@@ -319,13 +319,3 @@ def pr_box_target() -> np.ndarray:
     p[:2, :2, :2, :2] = 0.5 * ((a ^ b) == (x & y))
     return p
 
-
-def chsh_value(target) -> float:
-    """CHSH combination E00 + E01 + E10 - E11 on the first 2x2 input block.
-
-    Outputs 0 and 1 are mapped to +1 and -1; outputs 2 and 3 do not
-    contribute.  Local behaviours satisfy |S| <= 2 on every such block.
-    """
-    signs = np.array([1.0, -1.0, 0.0, 0.0])
-    correlators = np.einsum("xyab,a,b->xy", np.asarray(target, dtype=float)[:2, :2], signs, signs)
-    return float(correlators.sum() - 2.0 * correlators[1, 1])

@@ -125,10 +125,11 @@ def _emit_table(args, dist: JointDistribution):
     """Write a full outcome table as JSON or CSV, one block of entries at a time.
 
     The text is assembled from string templates and equals what
-    ``json.dumps(indent=2, sort_keys=True)`` prints for the document around
-    :func:`distribution_to_json_dict`, or ``csv.DictWriter`` for its rows;
-    ``json.dumps`` with an indent cannot use CPython's C encoder.  Both
-    modules print a float as its ``repr``.
+    ``json.dumps(indent=2, sort_keys=True)`` prints for the document
+    ``{"reproduces", "distribution": {"topology", "n", "basis",
+    "probabilities": [{"outcome", "p", "dyadic"}, ...]}}``, or
+    ``csv.DictWriter`` for its rows; ``json.dumps`` with an indent cannot
+    use CPython's C encoder.  Both modules print a float as its ``repr``.
 
     A symmetric table takes few distinct values (three for the EJM
     triangle), so each distinct float, grouped by its bits, is formatted
@@ -197,9 +198,10 @@ def _parse_event_flag(raw: str, n: int):
     if raw == "all-equal":
         return "all-equal"
     try:
-        if raw == "prefix" or raw.startswith("prefix:"):
-            _, _, count = raw.partition(":")
-            return ("prefix-equal", int(count) if count else n)
+        if raw == "prefix":
+            return ("prefix-equal", n)
+        if raw.startswith("prefix:"):
+            return ("prefix-equal", int(raw.removeprefix("prefix:")))
         if raw.startswith("tuple="):
             return tuple(int(a) for a in raw.removeprefix("tuple=").split(","))
     except ValueError as exc:

@@ -137,9 +137,5 @@ def probability_array(values, what: str, *, axis=None, atol: float) -> np.ndarra
     return arr
 
 
-class NonDyadicError(ValidationError):
-    """A probability has no dyadic form at the requested precision."""
-
-
 class UnknownEventError(ValueError):
     """Event identifier not recognised by the event-probability engine."""

@@ -94,12 +94,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def pauli_expectation(state) -> np.ndarray:
-    """Bloch vector <psi|sigma|psi> of a single-qubit state."""
-    psi = np.asarray(state, dtype=complex).reshape(2)
-    return np.array([float(np.real(np.conj(psi) @ (p @ psi))) for p in PAULI])
-
-
 def partial_bloch(state, side: str = "first") -> np.ndarray:
     """Bloch vector of one qubit of a normalised two-qubit pure state.
 

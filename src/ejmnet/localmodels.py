@@ -103,10 +103,6 @@ class ResponseTable:
         t = probability_array(t, "response rows", axis=2, atol=_WEIGHT_ATOL)
         object.__setattr__(self, "table", t)
 
-    @property
-    def deterministic(self) -> bool:
-        return bool(np.all(np.isin(self.table, (0.0, 1.0))))
-
     @classmethod
     def from_outcomes(cls, outcomes: np.ndarray) -> "ResponseTable":
         """Deterministic table from a (cl, cr) array of zero-based outcomes."""

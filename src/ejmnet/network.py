@@ -17,7 +17,6 @@ and the second qubit of source N dangling.  Dangling qubits are traced out.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .errors import (
     NEGATIVE_CLAMP,
     CapacityError,
     DomainError,
-    NonDyadicError,
     UnknownEventError,
     ValidationError,
     finite_array,
@@ -105,8 +103,7 @@ def polygon(n_parties: int) -> NetworkTopology:
 class JointDistribution:
     """Probability table over outcome tuples in {1,2,3,4}^N.
 
-    ``probs`` is an N-dimensional array indexed by zero-based outcomes;
-    :meth:`prob` accepts the one-based tuples used everywhere in reports.
+    ``probs`` is an N-dimensional array indexed by zero-based outcomes.
     """
 
     topology: NetworkTopology
@@ -127,9 +124,6 @@ class JointDistribution:
     def n_parties(self) -> int:
         return self.topology.n_parties
 
-    def prob(self, outcome) -> float:
-        return float(self.probs[_outcome_index(outcome, self.n_parties)])
-
 
 @dataclass(frozen=True)
 class DyadicProbability:
@@ -144,13 +138,6 @@ class DyadicProbability:
 
     def __str__(self) -> str:
         return f"{self.numerator}*2^-{self.log2_denominator}"
-
-
-def _outcome_index(outcome, n_parties: int) -> tuple[int, ...]:
-    values = tuple(outcome)
-    if len(values) != n_parties:
-        raise DomainError(f"outcome tuple {values} does not have {n_parties} entries")
-    return tuple(integer_in_range(a, "outcome", 1, 4) - 1 for a in values)
 
 
 def _reduced_dyadic(numerator: int, log2_denominator: int) -> DyadicProbability:
@@ -187,26 +174,6 @@ def dyadic_columns(p, log2_denominator: int) -> tuple[np.ndarray, np.ndarray, np
     twos = exponent - 53 + np.frexp(low)[1] - 1
     log2den = np.where(num == 0, 0, k - twos)
     return ok, num, log2den
-
-
-def dyadic_reconstruct(p: float, log2_denominator: int) -> DyadicProbability:
-    """Recover the exact dyadic rational behind a float probability.
-
-    The scalar case of :func:`dyadic_columns`: fails with NonDyadicError
-    when ``p`` is not within its tolerance of a multiple of
-    ``2**-log2_denominator``; the result is reduced to lowest terms.  Past
-    ``MAX_DYADIC_EXPONENT`` the tolerance admits irrational values, so a
-    finer grid is a DomainError.
-    """
-    integer_in_range(log2_denominator, "log2_denominator", 0, MAX_DYADIC_EXPONENT)
-    ok, num, log2den = dyadic_columns([p], log2_denominator)
-    if not ok[0]:
-        residual = abs(min(max(float(p), 0.0), 1.0) - math.ldexp(int(num[0]), -int(log2den[0])))
-        raise NonDyadicError(
-            f"{p} is not n/2^{log2_denominator} (residual {residual:.3g})",
-            residual=residual,
-        )
-    return DyadicProbability(int(num[0]), int(log2den[0]))
 
 
 def dyadic_fields(probs, n_parties: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,7 +257,9 @@ def _parse_event(event, n_parties: int) -> int | tuple[int, ...]:
         if len(event) == 2 and event[0] == PREFIX_EQUAL:
             return integer_in_range(event[1], "prefix length", 1, n_parties)
         if all(isinstance(a, numbers.Integral) for a in event):
-            return _outcome_index(event, n_parties)
+            if len(event) != n_parties:
+                raise DomainError(f"outcome tuple {tuple(event)} does not have {n_parties} entries")
+            return tuple(integer_in_range(a, "outcome", 1, 4) - 1 for a in event)
     raise UnknownEventError(f"unknown event {event!r}")
 
 
@@ -416,15 +385,6 @@ class CoincidenceStats:
     pattern_classes: dict
 
 
-def coincidence_pattern(outcome) -> str:
-    seen: dict[int, int] = {}
-    canon = []
-    for a in outcome:
-        seen.setdefault(a, len(seen))
-        canon.append(seen[a])
-    return "-".join(str(c) for c in canon)
-
-
 def coincidence_stats(dist: JointDistribution) -> CoincidenceStats:
     """Summary statistics of a joint outcome distribution (2 or more parties)."""
     n = dist.n_parties
@@ -507,33 +467,7 @@ def _pattern_classes(probs: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Emission
-
-
-def distribution_to_json_dict(dist: JointDistribution) -> dict:
-    """JSON form of a distribution, with exact dyadic fields where they exist."""
-    p = dist.probs.ravel()
-    ok, num, log2den = dyadic_fields(p, dist.n_parties)
-    entries = [
-        {
-            "outcome": list(outcome),
-            "p": value,
-            "dyadic": {"num": numerator, "log2den": k} if exact else None,
-        }
-        for outcome, value, exact, numerator, k in zip(
-            itertools.product(range(1, 5), repeat=dist.n_parties),
-            p.tolist(),
-            ok.tolist(),
-            num.tolist(),
-            log2den.tolist(),
-        )
-    ]
-    return {
-        "topology": dist.topology.kind,
-        "n": dist.n_parties,
-        "basis": dist.basis_label,
-        "probabilities": entries,
-    }
+# Table 2
 
 
 def table2_rows(max_n: int = 10) -> list[dict]:

@@ -36,7 +36,7 @@ from ejmnet.localmodels import (
 from ejmnet.network import (
     coincidence_stats,
     conditional_all_equal,
-    dyadic_reconstruct,
+    dyadic_columns,
     event_probability,
     joint_distribution_naive,
     line_all_equal_dyadic,
@@ -79,13 +79,19 @@ def test_criterion_1_ejm_basis_validity():
         assert elapsed < 1e-3, f"took {elapsed * 1e3:.3f} ms"
 
 
+def exact_dyadic(p, k):
+    """(numerator, log2 denominator) of ``p`` in lowest terms; ``p`` must lie on the 2**-k grid."""
+    ok, num, log2den = dyadic_columns([p], k)
+    assert ok[0], f"{p} is not n/2^{k}"
+    return int(num[0]), int(log2den[0])
+
+
 def test_criterion_2_triangle_distribution():
     with criterion(2, "triangle table gives 25/256, 1/256, 5/256 and its exact stats in < 1 s"):
         dist, elapsed = timed(lambda: joint_distribution_naive(polygon(3), ejm_basis()))
         for idx in np.ndindex(4, 4, 4):
-            dyadic = dyadic_reconstruct(float(dist.probs[idx]), 8)
             expected = {1: 25, 2: 1, 3: 5}[len(set(idx))]
-            assert (dyadic.numerator, dyadic.log2_denominator) == (expected, 8)
+            assert exact_dyadic(float(dist.probs[idx]), 8) == (expected, 8)
         stats = coincidence_stats(dist)
         assert abs(stats.p_pair_equal - 7.0 / 16.0) < 1e-12
         assert abs(stats.p_all_equal - 25.0 / 64.0) < 1e-12
@@ -102,21 +108,17 @@ def test_criterion_3_all_equal_table_reproduction():
         for n in range(1, 11):
             p_line = event_probability(open_line(n), basis, "all-equal")
             exact = line_all_equal_dyadic(n)
-            rec = dyadic_reconstruct(p_line, exact.log2_denominator)
-            assert (rec.numerator, rec.log2_denominator) == (
-                exact.numerator, exact.log2_denominator,
-            )
+            rec = exact_dyadic(p_line, exact.log2_denominator)
+            assert rec == (exact.numerator, exact.log2_denominator)
             if n in reference_line:
-                assert (rec.numerator, rec.log2_denominator) == reference_line[n]
+                assert rec == reference_line[n]
             if n >= 2:
                 p_ring = event_probability(polygon(n), basis, "all-equal")
                 exact_ring = polygon_all_equal_dyadic(n)
-                rec_ring = dyadic_reconstruct(p_ring, exact_ring.log2_denominator)
-                assert (rec_ring.numerator, rec_ring.log2_denominator) == (
-                    exact_ring.numerator, exact_ring.log2_denominator,
-                )
+                rec_ring = exact_dyadic(p_ring, exact_ring.log2_denominator)
+                assert rec_ring == (exact_ring.numerator, exact_ring.log2_denominator)
                 if n in reference_polygon:
-                    assert (rec_ring.numerator, rec_ring.log2_denominator) == reference_polygon[n]
+                    assert rec_ring == reference_polygon[n]
             if n >= 3:
                 conditional = (
                     event_probability(polygon(n), basis, "all-equal")

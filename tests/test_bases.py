@@ -144,7 +144,9 @@ class TestValidateBasis:
     def test_bloch_schmidt_consistency_identity(self):
         for name in ("ejm", "ejmz", "mp", "bsm"):
             diag = validate_basis(basis_by_name(name))
-            assert diag.bloch_schmidt_residual < 1e-9
+            # For any two-qubit pure state |b|^2 + 4 (s1 s2)^2 = (s1^2 + s2^2)^2 = 1.
+            s1, s2 = diag.schmidt.T
+            assert np.max(np.abs(diag.partial_bloch_norms**2 + 4.0 * (s1 * s2) ** 2 - 1.0)) < 1e-9
             assert diag.schmidt_sum_residual < 1e-12
 
     def test_unknown_name_rejected(self):

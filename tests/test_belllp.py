@@ -21,7 +21,6 @@ from ejmnet.belllp import (
     _orbits,
     _vertex_matrix,
     bell_lp_check,
-    chsh_value,
     line_conditional_target,
     pr_box_target,
     uniform_target,
@@ -45,6 +44,17 @@ def full_separation_optimum(target) -> float:
     )
     assert result.status == 0
     return -result.fun
+
+
+def chsh_value(target) -> float:
+    """CHSH combination E00 + E01 + E10 - E11 on the first 2x2 input block.
+
+    Outputs 0 and 1 are mapped to +1 and -1; outputs 2 and 3 do not
+    contribute.  Local behaviours satisfy |S| <= 2 on every such block.
+    """
+    signs = np.array([1.0, -1.0, 0.0, 0.0])
+    correlators = np.einsum("xyab,a,b->xy", np.asarray(target, dtype=float)[:2, :2], signs, signs)
+    return float(correlators.sum() - 2.0 * correlators[1, 1])
 
 
 def detected_group(p) -> tuple[int, ...]:

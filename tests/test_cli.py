@@ -2,6 +2,7 @@ import contextlib
 import csv
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from ejmnet.errors import DomainError
 from ejmnet.network import (
     JointDistribution,
     coincidence_stats,
-    distribution_to_json_dict,
+    dyadic_fields,
     joint_distribution_naive,
     open_line,
     polygon,
@@ -63,6 +64,32 @@ class TestTriangleCommand:
         assert len(rows) == 64
         first = next(r for r in rows if r["outcome"] == "1,1,1")
         assert first["dyadic_num"] == "25"
+
+
+def distribution_to_json_dict(dist):
+    """The table document's "distribution", with exact dyadic fields where they exist."""
+    p = dist.probs.ravel()
+    ok, num, log2den = dyadic_fields(p, dist.n_parties)
+    entries = [
+        {
+            "outcome": list(outcome),
+            "p": value,
+            "dyadic": {"num": numerator, "log2den": k} if exact else None,
+        }
+        for outcome, value, exact, numerator, k in zip(
+            itertools.product(range(1, 5), repeat=dist.n_parties),
+            p.tolist(),
+            ok.tolist(),
+            num.tolist(),
+            log2den.tolist(),
+        )
+    ]
+    return {
+        "topology": dist.topology.kind,
+        "n": dist.n_parties,
+        "basis": dist.basis_label,
+        "probabilities": entries,
+    }
 
 
 def reference_table_text(fmt, dist, reproduces):
@@ -541,6 +568,7 @@ class TestUsageErrors:
             (["search", "--cardinality", "1", "--optimize-weights"], 64),
             (["line", "--n", "4", "--event", "all-equal", "--format", "csv"], 64),
             (["search", "--method", "anneal", "--steps", "1000001"], 2),
+            (["line", "--n", "4", "--event", "prefix:"], 64),
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -9,7 +9,6 @@ from ejmnet.linalg import (
     antipode_state,
     bloch_to_state,
     partial_bloch,
-    pauli_expectation,
     singlet,
     tensor,
     tetrahedron_vectors,
@@ -22,6 +21,12 @@ def random_unit_vectors(count, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def pauli_expectation(state) -> np.ndarray:
+    """Bloch vector <psi|sigma|psi> of a single-qubit state."""
+    psi = np.asarray(state, dtype=complex).reshape(2)
+    return np.array([float(np.real(np.conj(psi) @ (p @ psi))) for p in PAULI])
 
 
 class TestTetrahedron:

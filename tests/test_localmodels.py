@@ -425,7 +425,7 @@ class TestAsymmetricModel:
 
     def test_deterministic_responses(self):
         model = asymmetric_model()
-        assert all(r.deterministic for r in model.responses)
+        assert all(np.isin(r.table, (0, 1)).all() for r in model.responses)
 
 
 class TestEvaluateAndSample:

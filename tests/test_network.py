@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from ejmnet.bases import TwoQubitBasis, basis_by_name
 from ejmnet.errors import (
     CapacityError,
     DomainError,
-    NonDyadicError,
     UnknownEventError,
     ValidationError,
 )
@@ -23,13 +21,11 @@ from ejmnet.network import (
     JointDistribution,
     closed_form_line,
     closed_form_polygon,
-    coincidence_pattern,
     coincidence_stats,
     conditional_all_equal,
     conditional_all_equal_fraction,
-    distribution_to_json_dict,
     dyadic_columns,
-    dyadic_reconstruct,
+    dyadic_fields,
     event_probability,
     joint_distribution_naive,
     line_all_equal_dyadic,
@@ -104,42 +100,43 @@ class TestClosedForms:
 
 
 class TestDyadicReconstruct:
+    """Single probabilities through the dyadic gate the emitters call."""
+
     def test_reduces_to_lowest_terms(self):
-        d = dyadic_reconstruct(0.09765625, 10)
-        assert (d.numerator, d.log2_denominator) == (25, 8)
+        ok, num, log2den = dyadic_columns([0.09765625], 10)
+        assert ok[0] and (num[0], log2den[0]) == (25, 8)
 
     def test_half(self):
-        d = dyadic_reconstruct(0.5, 1)
-        assert (d.numerator, d.log2_denominator) == (1, 1)
+        ok, num, log2den = dyadic_columns([0.5], 1)
+        assert ok[0] and (num[0], log2den[0]) == (1, 1)
 
     def test_non_dyadic_rejected(self):
-        with pytest.raises(NonDyadicError):
-            dyadic_reconstruct(1.0 / 3.0, 8)
+        assert not dyadic_columns([1.0 / 3.0], 8)[0][0]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            dyadic_reconstruct(1.5, 4)
+            dyadic_columns([1.5], 4)
 
     def test_zero(self):
-        d = dyadic_reconstruct(0.0, 12)
-        assert (d.numerator, d.log2_denominator) == (0, 0)
+        ok, num, log2den = dyadic_columns([0.0], 12)
+        assert ok[0] and (num[0], log2den[0]) == (0, 0)
 
     def test_fine_grid_does_not_accept_every_float(self):
         # 2**-20 is finer than the old 1e-6 acceptance, which took any float.
-        with pytest.raises(NonDyadicError):
-            dyadic_reconstruct(0.1, 20)
+        assert not dyadic_columns([0.1], 20)[0][0]
 
-    @pytest.mark.parametrize("p, k", [(1.0 / 3.0, 60), (math.sqrt(3.0) / 4.0, 48)])
+    @pytest.mark.parametrize(
+        "p, k", [(1.0 / 3.0, 60), (math.sqrt(3.0) / 4.0, 48), (math.ldexp(3.0, -44), 44)]
+    )
     def test_grid_past_the_largest_exponent_rejected(self, p, k):
-        # There the tolerance exceeds the grid spacing: these irrational
-        # values used to come back as 6004799503160661*2^-54 and
-        # 121882240180531*2^-48.
-        with pytest.raises(DomainError, match="log2_denominator"):
-            dyadic_reconstruct(p, k)
+        # There the tolerance exceeds the grid spacing: the irrational values
+        # used to come back as 6004799503160661*2^-54 and 121882240180531*2^-48,
+        # so no field is emitted on the 2**-k grid, k = 4N + 4, past N = 9 parties.
+        assert not dyadic_fields([p], (k - 4) // 4)[0][0]
 
     def test_largest_exponent_accepted(self):
-        d = dyadic_reconstruct(math.ldexp(3.0, -MAX_DYADIC_EXPONENT), MAX_DYADIC_EXPONENT)
-        assert (d.numerator, d.log2_denominator) == (3, MAX_DYADIC_EXPONENT)
+        ok, num, log2den = dyadic_fields([math.ldexp(3.0, -MAX_DYADIC_EXPONENT)], 9)
+        assert ok[0] and (num[0], log2den[0]) == (3, MAX_DYADIC_EXPONENT)
 
 
 DYADIC_ATOL = 8 * np.finfo(float).eps
@@ -182,11 +179,10 @@ class TestDyadicColumns:
 
 class TestTriangleDistribution:
     def test_pattern_values_exact_dyadic(self, triangle_ejm):
+        ok, num, log2den = dyadic_columns(triangle_ejm.probs, 8)
+        assert ok.all() and (log2den == 8).all()
         for idx in np.ndindex(4, 4, 4):
-            p = float(triangle_ejm.probs[idx])
-            dyadic = dyadic_reconstruct(p, 8)
-            expected = {1: 25, 2: 1, 3: 5}[len(set(idx))]
-            assert (dyadic.numerator, dyadic.log2_denominator) == (expected, 8)
+            assert num[idx] == {1: 25, 2: 1, 3: 5}[len(set(idx))]
 
     def test_normalization_identity(self):
         assert 4 * 25 + 36 * 1 + 24 * 5 == 256
@@ -305,15 +301,15 @@ class TestEventProbability:
         dist = joint_distribution_naive(top, ejm)
         outcome = (1, 1, 1, 1, 1)
         fast = event_probability(top, ejm, outcome)
-        assert abs(fast - dist.prob(outcome)) < 1e-12
+        assert abs(fast - dist.probs[0, 0, 0, 0, 0]) < 1e-12
         assert abs(fast - closed_form_polygon(5) / 4.0) < 1e-12
         mixed = (1, 3, 2, 4, 1)
-        assert abs(event_probability(top, ejm, mixed) - dist.prob(mixed)) < 1e-12
+        assert abs(event_probability(top, ejm, mixed) - dist.probs[0, 2, 1, 3, 0]) < 1e-12
 
     def test_polygon_ten_all_equal_exact(self, ejm):
         p = event_probability(polygon(10), ejm, "all-equal")
-        dyadic = dyadic_reconstruct(p, 24)
-        assert (dyadic.numerator, dyadic.log2_denominator) == (32761, 24)
+        ok, num, log2den = dyadic_columns([p], 24)
+        assert ok[0] and (num[0], log2den[0]) == (32761, 24)
 
     def test_single_party_line_all_equal_is_one(self, ejm):
         assert abs(event_probability(open_line(1), ejm, "all-equal") - 1.0) < 1e-12
@@ -413,9 +409,20 @@ class TestSymmetryProperties:
         dist = joint_distribution_naive(top, basis)
         n = top.n_parties
         outcome = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
-        assert abs(event_probability(top, basis, outcome) - dist.prob(outcome)) < 1e-14
+        want = dist.probs[tuple(a - 1 for a in outcome)]
+        assert abs(event_probability(top, basis, outcome) - want) < 1e-14
         all_equal = sum(float(dist.probs[(k,) * n]) for k in range(4))
         assert abs(event_probability(top, basis, "all-equal") - all_equal) < 1e-14
+
+
+def coincidence_pattern(outcome) -> str:
+    """Relabel an outcome tuple by order of first appearance, e.g. "0-0-1"."""
+    seen: dict[int, int] = {}
+    canon = []
+    for a in outcome:
+        seen.setdefault(a, len(seen))
+        canon.append(seen[a])
+    return "-".join(str(c) for c in canon)
 
 
 def reference_pattern_classes(probs):
@@ -466,13 +473,12 @@ class TestPatternClasses:
     "call",
     [
         lambda: closed_form_polygon(3.5),
-        lambda: joint_distribution_naive(polygon(3), basis_by_name("ejm")).prob((1.5, 2, 3)),
         lambda: event_probability(polygon(4), basis_by_name("ejm"), ("prefix-equal", 2.7)),
-        lambda: dyadic_reconstruct(0.25, 2.9),
+        lambda: dyadic_columns([0.25], 2.9),
         lambda: table2_rows(2.5),
         lambda: line_all_equal_dyadic(2.5),
     ],
-    ids=["closed-form", "outcome", "prefix-length", "dyadic-exponent", "table2", "line-dyadic"],
+    ids=["closed-form", "prefix-length", "dyadic-exponent", "table2", "line-dyadic"],
 )
 def test_non_integer_argument_rejected(call):
     # Without the integer gate these returned a complex number, truncated
@@ -515,28 +521,14 @@ class TestJointDistributionType:
         dist = JointDistribution(polygon(2), "x", probs)
         assert dist.probs[0, 0] == 0.0
 
-    def test_prob_validates_outcomes(self, triangle_ejm):
-        with pytest.raises(DomainError):
-            triangle_ejm.prob((1, 2))
-        with pytest.raises(DomainError):
-            triangle_ejm.prob((0, 1, 2))
+    def test_prob_validates_outcomes(self, ejm):
+        # An outcome tuple is checked for its length and for entries in 1..4.
+        for outcome in ((1, 2), (0, 1, 2)):
+            with pytest.raises(DomainError, match="outcome"):
+                event_probability(polygon(3), ejm, outcome)
 
 
 class TestEmission:
-    def test_json_dict_carries_dyadics(self, triangle_ejm):
-        payload = distribution_to_json_dict(triangle_ejm)
-        assert payload["topology"] == "polygon" and payload["n"] == 3
-        assert len(payload["probabilities"]) == 64
-        first = next(
-            e for e in payload["probabilities"] if e["outcome"] == [1, 1, 1]
-        )
-        assert first["dyadic"] == {"num": 25, "log2den": 8}
-
-    def test_json_deterministic(self, triangle_ejm):
-        a = json.dumps(distribution_to_json_dict(triangle_ejm), sort_keys=True)
-        b = json.dumps(distribution_to_json_dict(triangle_ejm), sort_keys=True)
-        assert a == b
-
     def test_table2_rows(self):
         rows = table2_rows(10)
         assert len(rows) == 10
