@@ -9,9 +9,13 @@ generation with an exact best-response oracle, decides both verdicts.  It
 finds the L1 distance from the target to the working hull in weights form.
 A positive optimum certifies NONLOCAL with the separating functional read
 off the duals of the behaviour rows; otherwise the primal is a set of
-convex weights, LOCAL only if the full vertex matrix reconstructs the
-target from them.  That one sparse vertex matrix also prices the best
-responses and supplies the master's columns.
+convex weights, LOCAL only if the vertices they weight reconstruct the
+target.  Each vertex is read off the digits of its two strategies
+(:func:`_vertex_rows`), so no 256 x 65536 vertex matrix is ever built:
+the best responses are priced on all 65536 vertices at once
+(:func:`_vertex_values`), the weights are summed into a behaviour
+(:func:`_vertex_image`), and the master's columns are built from the rows
+of its pairs.
 
 The master is solved over symmetry orbits.  The symmetry group G of the
 target is every one of 48 candidates (one relabelling of {0, 1, 2, 3}
@@ -26,7 +30,7 @@ instead of 256.  The orbit weights of a LOCAL verdict are spread over their memb
 weights-form solve over those pairs, 257 rows, returns a basic solution;
 when every weighted orbit is a single pair, as under the trivial group,
 the master's own basic solution is one already and is used as it is.
-Both certificates are re-checked against the full vertex matrix, so a
+Both certificates are re-checked against all 65536 vertices, so a
 wrong group costs time but never gives a wrong verdict.  A target with no
 symmetry has the trivial group, and the orbit master is then the plain one.
 
@@ -72,6 +76,8 @@ _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_toler
 # digits of i, most significant first.
 _PLACES = 4 ** np.arange(3, -1, -1)
 _OUTCOMES = (np.arange(256)[:, None] // _PLACES) % 4
+# The first behaviour row of input cell (x, y).
+_CELL_BASE = 16 * np.arange(16).reshape(4, 4)
 # The party swap exchanges x with y and a with b in a behaviour row [x, y, a, b].
 _PARTY_SWAP = (1, 0, 3, 2)
 
@@ -103,32 +109,63 @@ class LocalityCertificate:
     rounds: int = 0
 
 
-@lru_cache(maxsize=1)
-def _vertex_matrix() -> sparse.csc_matrix:
-    """Sparse (256, 65536) map from vertex weights to behaviour entries.
+def _vertex_rows(pairs: np.ndarray) -> np.ndarray:
+    """int32 (k, 16): the ascending behaviour rows of the vertex of each strategy pair.
 
-    Row index is ((x*4 + y)*4 + a)*4 + b; column i*256 + j is the product of
-    strategies i (left party) and j (right party).
+    Row index is ((x*4 + y)*4 + a)*4 + b, and pair i*256 + j is the product
+    of strategies i (left party) and j (right party), so the vertex has a 1
+    in row ``_CELL_BASE[x, y] + 4*_OUTCOMES[i, x] + _OUTCOMES[j, y]`` of each
+    input cell.
     """
-    base = (np.arange(4)[:, None] * 4 + np.arange(4)[None, :]) * 16  # (x, y)
-    rows = base[None, None, :, :] + _OUTCOMES[:, None, :, None] * 4 + _OUTCOMES[None, :, None, :]
-    cols = np.broadcast_to(np.arange(65536).reshape(256, 256, 1, 1), rows.shape)
-    return sparse.csc_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(256, 65536))
+    left, right = np.divmod(pairs, 256)
+    rows = _CELL_BASE + 4 * _OUTCOMES[left][:, :, None] + _OUTCOMES[right][:, None, :]
+    return rows.reshape(-1, 16).astype(np.int32)
+
+
+def _vertex_values(f) -> np.ndarray:
+    """(256, 256): f . v on the vertex of every strategy pair, [left, right].
+
+    The 16 terms of each vertex are added in its row order from 0.0, as a
+    sparse matvec over the vertices would add them, so the values and their
+    ties are bit for bit that matvec's.  After input x the partial sum
+    depends on the left strategy's first x + 1 digits only, so the left
+    index grows one digit per input.
+    """
+    f = np.asarray(f, dtype=float).reshape(4, 4, 4, 4)
+    acc = np.zeros((1, 1, 256))
+    for x in range(4):
+        acc = acc + f[x, 0][:, _OUTCOMES[:, 0]]
+        for y in range(1, 4):
+            acc += f[x, y][:, _OUTCOMES[:, y]]
+        acc = acc.reshape(-1, 1, 256)
+    return acc.reshape(256, 256)
+
+
+def _vertex_image(w) -> np.ndarray:
+    """(256,): the behaviour sum_c w[c] v_c of weights ``w`` over the 65536 strategy pairs.
+
+    Each row accumulates the weights of its pairs from 0.0 in ascending pair
+    order, as a sparse matvec over the vertices would; pairs of weight zero
+    add nothing.
+    """
+    w = np.asarray(w, dtype=float).reshape(65536)
+    pairs = np.flatnonzero(w)
+    return np.bincount(_vertex_rows(pairs).ravel(), weights=np.repeat(w[pairs], 16), minlength=256)
 
 
 def _orbit_master_matrix(columns: np.ndarray, row_orbit: np.ndarray) -> sparse.csc_matrix:
     """``A_eq`` of the orbit master: [S V_C, I, -I] over the row orbits and the weight-sum row.
 
     S sums the behaviour rows of each orbit (row r lies in orbit
-    ``row_orbit[r]``), V_C is the ``columns`` of :func:`_vertex_matrix`, and
-    the two identities carry one slack pair per row orbit.  With
-    ``row_orbit = np.arange(256)``, S is the identity and this is the
-    weights-form matrix [V_C, I, -I].
+    ``row_orbit[r]``), V_C holds the vertices of the strategy pairs
+    ``columns`` (see :func:`_vertex_rows`), and the two identities carry one
+    slack pair per row orbit.  With ``row_orbit = np.arange(256)``, S is the
+    identity and this is the weights-form matrix [V_C, I, -I].
     """
     n_rows = int(row_orbit.max()) + 1
-    vertices = _vertex_matrix()[:, columns]
+    rows = row_orbit[_vertex_rows(columns)].ravel()
     summed = sparse.csc_matrix(
-        (vertices.data, row_orbit[vertices.indices], vertices.indptr), shape=(n_rows, columns.size)
+        (np.ones(rows.size), rows, 16 * np.arange(columns.size + 1)), shape=(n_rows, columns.size)
     )
     summed.sum_duplicates()
     eye = sparse.identity(n_rows)
@@ -207,7 +244,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     # Round one prices the target itself, and s = -inf admits every best response.
     functional, level, columns, rounds = p, -np.inf, np.empty(0, dtype=np.int64), 0
     while True:
-        values = (_vertex_matrix().T @ functional).reshape(256, 256)
+        values = _vertex_values(functional)
         best = np.union1d(
             np.arange(256) * 256 + values.argmax(axis=1),
             values.argmax(axis=0) * 256 + np.arange(256),
@@ -255,7 +292,7 @@ def bell_lp_check(target) -> LocalityCertificate:
     weights = np.zeros(65536)
     weights[fitted] = np.maximum(fit.x[: fitted.size], 0.0)
     weights /= weights.sum()
-    residual = float(np.max(np.abs(_vertex_matrix() @ weights - p)))
+    residual = float(np.max(np.abs(_vertex_image(weights) - p)))
     verdict = LOCAL if residual < RECONSTRUCTION_ATOL else INCONCLUSIVE
     return LocalityCertificate(verdict, weights=weights, reconstruction_residual=residual, **run)
 
@@ -263,18 +300,17 @@ def bell_lp_check(target) -> LocalityCertificate:
 def verify_certificate(certificate: LocalityCertificate, target) -> dict:
     """Re-check a certificate by direct evaluation against the target."""
     p = _behaviour(target)
-    vertices = _vertex_matrix()
     if certificate.verdict == LOCAL:
         w = certificate.weights
         return {
             "verdict": LOCAL,
             "weight_sum_residual": abs(float(w.sum()) - 1.0),
             "min_weight": float(w.min()),
-            "reconstruction_residual": float(np.max(np.abs(vertices @ w - p))),
+            "reconstruction_residual": float(np.max(np.abs(_vertex_image(w) - p))),
         }
     if certificate.verdict == NONLOCAL:
         f = certificate.functional.ravel()
-        vertex_values = vertices.T @ f
+        vertex_values = _vertex_values(f)
         return {
             "verdict": NONLOCAL,
             "classical_bound": float(vertex_values.max()),

@@ -431,7 +431,7 @@ def _cmd_search(args) -> int:
     return 0
 
 
-# Importing scipy costs ~0.6 s and ~48 MB of RSS; only the LP commands need it.
+# Importing scipy.optimize costs ~0.6 s and ~46 MB of RSS; only the LP commands need it.
 def _cmd_bell_check(args) -> int:
     from . import belllp
     if args.target_file:

@@ -15,7 +15,6 @@ from ejmnet.bases import ejm_basis, validate_basis
 from ejmnet.belllp import (
     LOCAL,
     NONLOCAL,
-    _vertex_matrix,
     bell_lp_check,
     line_conditional_target,
     pr_box_target,
@@ -44,6 +43,7 @@ from ejmnet.network import (
     polygon,
     polygon_all_equal_dyadic,
 )
+from test_belllp import vertex_matrix
 
 SQRT3 = math.sqrt(3.0)
 
@@ -213,7 +213,7 @@ def test_criterion_9_bell_lp():
         nonlocal_cert = bell_lp_check(pr)
         assert nonlocal_cert.verdict == NONLOCAL
         functional = nonlocal_cert.functional.ravel()
-        vertex_values = _vertex_matrix().T @ functional
+        vertex_values = vertex_matrix().T @ functional
         margin = float(functional @ pr.ravel()) - float(vertex_values.max())
         assert margin > 1e-9
         elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,12 +15,15 @@ from ejmnet.belllp import (
     INCONCLUSIVE,
     LOCAL,
     NONLOCAL,
+    _OUTCOMES,
     _PARTY_SWAP,
     _column_image,
     _l1_fit,
     _orbit_master_matrix,
     _orbits,
-    _vertex_matrix,
+    _vertex_image,
+    _vertex_rows,
+    _vertex_values,
     bell_lp_check,
     line_conditional_target,
     pr_box_target,
@@ -32,12 +36,25 @@ from ejmnet.errors import ValidationError, cell_perms, symmetry_group
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def vertex_matrix() -> sparse.csc_matrix:
+    """Oracle: the sparse (256, 65536) map from vertex weights to behaviour entries.
+
+    Row index is ((x*4 + y)*4 + a)*4 + b; column i*256 + j is the product of
+    strategies i (left party) and j (right party).  Built from COO entries,
+    independently of the package's vertex helpers.
+    """
+    base = (np.arange(4)[:, None] * 4 + np.arange(4)[None, :]) * 16  # (x, y)
+    rows = base[None, None, :, :] + _OUTCOMES[:, None, :, None] * 4 + _OUTCOMES[None, :, None, :]
+    cols = np.broadcast_to(np.arange(65536).reshape(256, 256, 1, 1), rows.shape)
+    return sparse.csc_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(256, 65536))
+
+
 def full_separation_optimum(target) -> float:
     """max f . p - s over f in [-1, 1]^256 with f . v <= s on all 65536 vertices."""
     p = np.asarray(target, dtype=float).ravel()
     result = linprog(
         np.concatenate([-p, [1.0]]),
-        A_ub=sparse.hstack([_vertex_matrix().T, -np.ones((65536, 1))]),
+        A_ub=sparse.hstack([vertex_matrix().T, -np.ones((65536, 1))]),
         b_ub=np.zeros(65536),
         bounds=[(-1, 1)] * 256 + [(None, None)],
         method="highs",
@@ -127,10 +144,27 @@ class TestMembership:
         assert certificate.target_value > certificate.classical_bound
         # Margin re-verified against every deterministic vertex.
         functional = certificate.functional.ravel()
-        vertex_values = _vertex_matrix().T @ functional
+        vertex_values = vertex_matrix().T @ functional
         assert float(functional @ target.ravel()) - float(vertex_values.max()) > 1e-9
         assert abs(verify_certificate(certificate, target)["margin"] - certificate.margin) <= 1e-12
         assert np.max(np.abs(functional)) <= 1.0 + 1e-9
+
+    def test_check_and_verify_allocate_no_vertex_matrix(self):
+        # All 65536 vertices are priced, rebuilt and re-checked from the
+        # strategy digits, never from a (256, 65536) vertex matrix: its sparse
+        # form alone would hold 12.6 MB.
+        bell_lp_check(uniform_target())  # scipy's lazy imports and first solve
+        _orbits.cache_clear()
+        target = line_conditional_target()
+        tracemalloc.start()
+        try:
+            certificate = bell_lp_check(target)
+            verify_certificate(certificate, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certificate.verdict == LOCAL
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_malformed_target_rejected(self):
         with pytest.raises(ValidationError):
@@ -189,15 +223,50 @@ class TestColumnGeneration:
         assert abs(certificate.margin - full_separation_optimum(target)) < 1e-8
 
 
+@pytest.fixture(scope="module")
+def vertices():
+    return vertex_matrix()
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestVertexMatrix:
-    def test_column_structure(self):
-        v = _vertex_matrix()
-        assert v.shape == (256, 65536)
-        sums = np.asarray(v.sum(axis=0)).ravel()
+    def test_column_structure(self, vertices):
+        assert vertices.shape == (256, 65536)
+        sums = np.asarray(vertices.sum(axis=0)).ravel()
         assert np.all(sums == 16)
         # Column 0: both parties always answer 0.
-        col = np.asarray(v[:, 0].todense()).ravel().reshape(4, 4, 4, 4)
+        col = np.asarray(vertices[:, 0].todense()).ravel().reshape(4, 4, 4, 4)
         assert col[0, 0, 0, 0] == 1 and col[1, 2, 0, 0] == 1 and col[0, 0, 1, 0] == 0
+
+    def test_rows_are_the_oracle_indices(self, vertices):
+        rows = _vertex_rows(np.arange(65536))
+        assert rows.shape == (65536, 16) and rows.dtype == np.int32
+        assert vertices.has_sorted_indices
+        assert np.array_equal(rows.ravel(), vertices.indices)
+
+    # The entries span 16 decades, so adding a vertex's 16 terms in any other
+    # order than the matvec's could round differently.
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(SEEDS, st.floats(min_value=-8.0, max_value=8.0))
+    def test_values_are_the_oracle_matvec_bit_for_bit(self, vertices, seed, centre):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(256) * 10.0 ** (centre + rng.uniform(-8.0, 8.0, size=256))
+        values = _vertex_values(f)
+        assert same_bits(values, (vertices.T @ f).reshape(256, 256))
+        # Argmax ties fall as the oracle's do too: a functional of few levels.
+        f = rng.integers(-2, 3, size=256) / 3.0
+        assert same_bits(_vertex_values(f), (vertices.T @ f).reshape(256, 256))
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(SEEDS, st.integers(min_value=1, max_value=600))
+    def test_image_is_the_oracle_matvec_bit_for_bit(self, vertices, seed, k):
+        rng = np.random.default_rng(seed)
+        w = np.zeros(65536)
+        w[rng.choice(65536, size=k, replace=False)] = rng.dirichlet(np.ones(k))
+        assert same_bits(_vertex_image(w), vertices @ w)
 
 
 LOCAL_TARGETS = {
@@ -217,14 +286,14 @@ LOCAL_TARGETS = {
 class TestMaster:
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(SEEDS, st.integers(min_value=1, max_value=300))
-    def test_matrix_is_vertices_sum_row_and_slacks(self, seed, k):
+    def test_matrix_is_vertices_sum_row_and_slacks(self, vertices, seed, k):
         columns = np.random.default_rng(seed).choice(65536, size=k, replace=False)
         # The identity row orbits give the weights-form matrix.
         a = _orbit_master_matrix(columns, np.arange(256))
         assert a.shape == (257, k + 512)
         assert a.has_sorted_indices
         dense = a.toarray()
-        assert np.array_equal(dense[:256, :k], _vertex_matrix()[:, columns].toarray())
+        assert np.array_equal(dense[:256, :k], vertices[:, columns].toarray())
         assert np.all(dense[256, :k] == 1)
         slacks = np.vstack([np.hstack([np.eye(256), -np.eye(256)]), np.zeros((1, 512))])
         assert np.array_equal(dense[:, k:], slacks)
@@ -294,9 +363,9 @@ class TestSymmetry:
         members = {tuple(perms[g]) for g in group}
         assert all(tuple(perms[g][perms[h]]) in members for g in group for h in group)
 
-    def test_candidates_move_vertices_to_vertices(self):
+    def test_candidates_move_vertices_to_vertices(self, vertices):
         # Column c's 16 rows, moved by a candidate, are the rows of its column image.
-        rows = _vertex_matrix().indices.reshape(65536, 16)
+        rows = vertices.indices.reshape(65536, 16)
         for g, perm in enumerate(cell_perms(_PARTY_SWAP)):
             moved = np.sort(perm[rows], axis=1)
             assert np.array_equal(moved, rows[_column_image(g)]), g
@@ -319,7 +388,7 @@ class TestSymmetry:
         assert np.array_equal(summed, summed[:, representative])
 
     def test_a_wrong_group_costs_no_verdict(self, monkeypatch):
-        # Both certificates are re-checked on the full vertex matrix.
+        # Both certificates are re-checked against all 65536 vertices.
         monkeypatch.setattr(belllp, "symmetry_group", lambda p, swap: np.arange(48))
         assert bell_lp_check(vertex_mixture(np.random.default_rng(3), 6)).verdict != NONLOCAL
         assert bell_lp_check(pr_box_target()).verdict != LOCAL

@@ -51,6 +51,8 @@ GOLDEN = [
         "cf42973d1d17ebeb62f669e0e14d730a8fa72b2eadc006a14464de8eec780928",
     ),
     ("bell-check --target pr-box", "66f055394ea3d6972bc50cd9471205c7f646e3e8021c524586f179ddb9d69fb8"),
+    ("bell-check --target ejm-line", "089c7feb7d84479b430bd520b79ef2f8bc48e4f9665190dab412f12a45bf6991"),
+    ("bell-check --target uniform", "78fb69e503f2ea934508fd91d9734614c46f0c1a0a69afd9d968f778d23ef975"),
     ("search --method exhaustive", "8003cda7c79653096127503953a5e07ea719e72661f287e0224a7d809890b8e1"),
     (
         "search --method exhaustive --optimize-weights",
