@@ -26,10 +26,11 @@ the exhaustive triangle search alike.  Some optimal weights and some
 optimal functional are then G-invariant, so the master has one row per
 orbit of behaviour entries (their sum), one column per orbit of strategy
 pairs, and one slack pair per row orbit; the EJM chain has 11 row orbits
-instead of 256.  The orbit weights of a LOCAL verdict are spread over their member pairs and one last
-weights-form solve over those pairs, 257 rows, returns a basic solution;
-when every weighted orbit is a single pair, as under the trivial group,
-the master's own basic solution is one already and is used as it is.
+instead of 256.  A LOCAL verdict needs no second solve: the master's
+weight on each orbit is spread evenly over the orbit's member pairs.  The
+target is G-invariant, so these G-invariant weights rebuild it wherever
+the orbit sums do, with at most (row orbits + 1) x |G| of them nonzero;
+under the trivial group they are the master's own basic solution.
 Both certificates are re-checked against all 65536 vertices, so a
 wrong group costs time but never gives a wrong verdict.  A target with no
 symmetry has the trivial group, and the orbit master is then the plain one.
@@ -87,7 +88,8 @@ class LocalityCertificate:
     """Re-verifiable outcome of a membership query.
 
     LOCAL certificates carry convex weights over the 65536 deterministic
-    strategy pairs, a basic solution of the last solve and so at most 257
+    strategy pairs, the orbit master's weights spread evenly over each
+    orbit's member pairs, so G-invariant and at most (row orbits + 1) x |G|
     of them nonzero; NONLOCAL ones carry a separating functional, the orbit
     master's row duals spread over the 256 behaviour rows, together with
     its maximum over the local vertices (the classical bound) and its value
@@ -160,18 +162,22 @@ def _orbit_master_matrix(columns: np.ndarray, row_orbit: np.ndarray) -> sparse.c
     ``row_orbit[r]``), V_C holds the vertices of the strategy pairs
     ``columns`` (see :func:`_vertex_rows`), and the two identities carry one
     slack pair per row orbit.  With ``row_orbit = np.arange(256)``, S is the
-    identity and this is the weights-form matrix [V_C, I, -I].
+    identity and this is the weights-form matrix [V_C, I, -I].  Summing
+    duplicate entries adds up the rows that an orbit repeats in a column.
     """
     n_rows = int(row_orbit.max()) + 1
-    rows = row_orbit[_vertex_rows(columns)].ravel()
-    summed = sparse.csc_matrix(
-        (np.ones(rows.size), rows, 16 * np.arange(columns.size + 1)), shape=(n_rows, columns.size)
+    rows = np.pad(row_orbit[_vertex_rows(columns)], ((0, 0), (0, 1)), constant_values=n_rows)
+    slacks = np.arange(n_rows)
+    a_eq = sparse.csc_matrix(
+        (
+            np.repeat([1.0, -1.0], [rows.size + n_rows, n_rows]),
+            np.concatenate([rows.ravel(), slacks, slacks]),
+            np.append(17 * np.arange(columns.size), rows.size + np.arange(2 * n_rows + 1)),
+        ),
+        shape=(n_rows + 1, columns.size + 2 * n_rows),
     )
-    summed.sum_duplicates()
-    eye = sparse.identity(n_rows)
-    behaviour_rows = sparse.hstack([summed, eye, -eye])
-    sum_row = np.concatenate([np.ones(columns.size), np.zeros(2 * n_rows)])
-    return sparse.vstack([behaviour_rows, sum_row[None, :]], format="csc")
+    a_eq.sum_duplicates()
+    return a_eq
 
 
 def _l1_fit(a_eq: sparse.csc_matrix, b_eq: np.ndarray):
@@ -233,10 +239,9 @@ def bell_lp_check(target) -> LocalityCertificate:
     row is its level s, with f . v <= s on every working vertex.  Each
     round prices all 65536 pairs, maps every pair that is either party's
     best response to f and beats s to its orbit, and adds the new orbits.
-    A LOCAL verdict spreads W over the member pairs of its orbits and
-    re-solves there in weights form, unless every weighted orbit is a
-    single pair.  INCONCLUSIVE flags a solver failure
-    or a void margin or fit.
+    A LOCAL verdict spreads each orbit's entry of W evenly over the orbit's
+    member pairs, with no further solve.  INCONCLUSIVE flags a solver
+    failure or a void margin or fit.
     """
     p = _behaviour(target)
     row_orbit, representative = _orbits(tuple(symmetry_group(p, _PARTY_SWAP).tolist()))
@@ -278,20 +283,13 @@ def bell_lp_check(target) -> LocalityCertificate:
             margin=margin,
             **run,
         )
-    weighted = columns[master.x[: columns.size] > 0]
-    support = np.flatnonzero(np.isin(representative, weighted))
-    run["columns"] = support.size
-    # When every weighted orbit is a single pair, the master's basic solution
-    # is already one in weights form.
-    fit, fitted = master, columns
-    if support.size > weighted.size:
-        fit, fitted = _l1_fit(_orbit_master_matrix(support, np.arange(256)), np.append(p, 1.0)), support
-        run["solver_status"] = fit.message
-        if fit.status != 0:
-            return LocalityCertificate(INCONCLUSIVE, **run)
+    # The orbit sums of weights spread evenly over each orbit are the master's,
+    # and so is their fit to the G-invariant target.
     weights = np.zeros(65536)
-    weights[fitted] = np.maximum(fit.x[: fitted.size], 0.0)
+    weights[columns] = np.maximum(master.x[: columns.size], 0.0) / np.bincount(representative)[columns]
+    weights = weights[representative]
     weights /= weights.sum()
+    run["columns"] = np.count_nonzero(weights)
     residual = float(np.max(np.abs(_vertex_image(weights) - p)))
     verdict = LOCAL if residual < RECONSTRUCTION_ATOL else INCONCLUSIVE
     return LocalityCertificate(verdict, weights=weights, reconstruction_residual=residual, **run)

@@ -15,6 +15,7 @@ from ejmnet.belllp import (
     INCONCLUSIVE,
     LOCAL,
     NONLOCAL,
+    RECONSTRUCTION_ATOL,
     _OUTCOMES,
     _PARTY_SWAP,
     _column_image,
@@ -47,6 +48,20 @@ def vertex_matrix() -> sparse.csc_matrix:
     rows = base[None, None, :, :] + _OUTCOMES[:, None, :, None] * 4 + _OUTCOMES[None, :, None, :]
     cols = np.broadcast_to(np.arange(65536).reshape(256, 256, 1, 1), rows.shape)
     return sparse.csc_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(256, 65536))
+
+
+def orbit_master_matrix(columns, row_orbit) -> sparse.csc_matrix:
+    """Oracle: ``_orbit_master_matrix`` stacked block by block from identities."""
+    n_rows = int(row_orbit.max()) + 1
+    rows = row_orbit[_vertex_rows(columns)].ravel()
+    summed = sparse.csc_matrix(
+        (np.ones(rows.size), rows, 16 * np.arange(columns.size + 1)), shape=(n_rows, columns.size)
+    )
+    summed.sum_duplicates()
+    eye = sparse.identity(n_rows)
+    behaviour_rows = sparse.hstack([summed, eye, -eye])
+    sum_row = np.concatenate([np.ones(columns.size), np.zeros(2 * n_rows)])
+    return sparse.vstack([behaviour_rows, sum_row[None, :]], format="csc")
 
 
 def full_separation_optimum(target) -> float:
@@ -283,6 +298,44 @@ LOCAL_TARGETS = {
 }
 
 
+def noisy_pr_box(v=0.8):
+    return v * pr_box_target() + (1.0 - v) * uniform_target()
+
+
+# name -> (target, order of its detected symmetry group).
+SYMMETRIC_TARGETS = {
+    "ejm-line": (line_conditional_target, 48),
+    "chain-ejmz": (lambda: line_conditional_target(basis_by_name("ejmz")), 48),
+    "chain-bsm": (lambda: line_conditional_target(basis_by_name("bsm")), 48),
+    "chain-mp": (lambda: line_conditional_target(basis_by_name("mp")), 8),
+    "noisy-pr-box": (noisy_pr_box, 4),
+    "mixture-6": (lambda: vertex_mixture(np.random.default_rng(6), 6), 1),
+}
+GROUPS = {name: detected_group(target()) for name, (target, _) in SYMMETRIC_TARGETS.items()}
+
+
+# Reconstruction residuals of the chain targets' weights-form basic solutions:
+# the spread weights must rebuild each chain no worse.
+BASIC_SOLUTION_RESIDUALS = {
+    "ejm-line": 7.771561172376096e-16,
+    "chain-ejmz": 4.97241137153992e-14,
+    "chain-mp": 5.680872439128848e-14,
+    "chain-bsm": 7.008282842946301e-16,
+}
+NONLOCAL_TARGETS = {"pr-box": pr_box_target, "noisy-pr-box": noisy_pr_box}
+
+
+def record_master_columns(monkeypatch) -> list:
+    """The columns of every orbit master that bell_lp_check builds, in order."""
+    built = []
+    monkeypatch.setattr(
+        belllp,
+        "_orbit_master_matrix",
+        lambda columns, row_orbit: built.append(columns) or _orbit_master_matrix(columns, row_orbit),
+    )
+    return built
+
+
 class TestMaster:
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(SEEDS, st.integers(min_value=1, max_value=300))
@@ -298,56 +351,83 @@ class TestMaster:
         slacks = np.vstack([np.hstack([np.eye(256), -np.eye(256)]), np.zeros((1, 512))])
         assert np.array_equal(dense[:, k:], slacks)
 
+    # HiGHS gets the oracle's exact arrays, so no solve can move.
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(min_value=1, max_value=2000),
+        st.sampled_from([None, *sorted(set(GROUPS.values()))]),
+    )
+    def test_matrix_is_the_stacked_oracle_array_for_array(self, seed, k, group):
+        columns = np.random.default_rng(seed).choice(65536, size=k, replace=False)
+        row_orbit = np.arange(256) if group is None else _orbits(group)[0]
+        a, oracle = _orbit_master_matrix(columns, row_orbit), orbit_master_matrix(columns, row_orbit)
+        assert a.shape == oracle.shape
+        assert a.indptr.dtype == oracle.indptr.dtype and np.array_equal(a.indptr, oracle.indptr)
+        assert a.indices.dtype == oracle.indices.dtype and np.array_equal(a.indices, oracle.indices)
+        assert same_bits(a.data, oracle.data)
+
     @pytest.mark.parametrize("name", LOCAL_TARGETS)
-    def test_local_weights_are_a_basic_solution_on_the_working_columns(self, monkeypatch, name):
-        # Every LP's matrix, the weights form's too, is built by _orbit_master_matrix.
-        built = []
-        monkeypatch.setattr(
-            belllp,
-            "_orbit_master_matrix",
-            lambda columns, row_orbit: built.append(columns) or _orbit_master_matrix(columns, row_orbit),
-        )
-        certificate = bell_lp_check(LOCAL_TARGETS[name]())
+    def test_local_weights_are_spread_evenly_over_the_working_orbits(self, monkeypatch, name):
+        built = record_master_columns(monkeypatch)
+        target = LOCAL_TARGETS[name]()
+        certificate = bell_lp_check(target)
         assert certificate.verdict == LOCAL
         weights = certificate.weights
         assert weights.min() >= 0.0
         assert abs(weights.sum() - 1.0) <= 1e-12
+        group = detected_group(target)
+        for g in group:
+            assert np.array_equal(weights, weights[_column_image(g)]), g
+        row_orbit, representative = _orbits(group)
         support = np.flatnonzero(weights)
-        assert np.isin(support, built[-1]).all()
-        # The last LP ran over the weighted orbits' pairs, or over the
-        # master's working columns when those orbits are single pairs.
-        assert certificate.columns <= built[-1].size
-        assert support.size <= 257
+        assert np.isin(representative[support], built[-1]).all()
+        assert certificate.columns == support.size
+        # A basic solution of the master weights at most one orbit per row.
+        master_rows = row_orbit.max() + 2
+        assert support.size <= master_rows * len(group)
 
-    def test_single_pair_orbits_skip_the_weights_form_solve(self, monkeypatch):
-        # A 6-vertex mixture has the trivial group, so every orbit is one pair.
-        target = vertex_mixture(np.random.default_rng(6), 6)
+    @pytest.mark.parametrize("name", [name for name in LOCAL_TARGETS if name.startswith("mixture")])
+    def test_local_weights_are_a_basic_solution_on_the_working_columns(self, monkeypatch, name):
+        # Under the trivial group every orbit is one pair, and the weights are
+        # the last master's own basic solution, bit for bit.
+        target = LOCAL_TARGETS[name]()
         assert detected_group(target) == (0,)
+        built, fits = record_master_columns(monkeypatch), []
+        monkeypatch.setattr(belllp, "_l1_fit", lambda a, b: fits.append(_l1_fit(a, b)) or fits[-1])
+        certificate = bell_lp_check(target)
+        assert certificate.verdict == LOCAL
+        basic = np.zeros(65536)
+        basic[built[-1]] = np.maximum(fits[-1].x[: built[-1].size], 0.0)
+        assert same_bits(certificate.weights, basic / basic.sum())
+        assert np.count_nonzero(certificate.weights) <= 257
+
+    @pytest.mark.parametrize("name", BASIC_SOLUTION_RESIDUALS)
+    def test_chain_residuals_are_no_larger_than_the_basic_solutions(self, name):
+        certificate = bell_lp_check(LOCAL_TARGETS[name]())
+        assert certificate.reconstruction_residual <= BASIC_SOLUTION_RESIDUALS[name]
+
+    @pytest.mark.parametrize("name", [*LOCAL_TARGETS, *NONLOCAL_TARGETS])
+    def test_one_solve_per_master_round(self, monkeypatch, name):
         fits = []
         monkeypatch.setattr(belllp, "_l1_fit", lambda a, b: fits.append(a.shape) or _l1_fit(a, b))
-        certificate = bell_lp_check(target)
-        # The verdict, columns and rounds of the version that re-solved, with
-        # one solve per round and none after.
-        assert (certificate.verdict, certificate.columns, certificate.rounds) == (LOCAL, 6, 2)
+        certificate = bell_lp_check({**LOCAL_TARGETS, **NONLOCAL_TARGETS}[name]())
+        assert certificate.verdict in (LOCAL, NONLOCAL)
         assert len(fits) == certificate.rounds
-        assert certificate.reconstruction_residual < 1e-8
-        assert np.count_nonzero(certificate.weights) <= fits[-1][0]
 
-
-def noisy_pr_box(v=0.8):
-    return v * pr_box_target() + (1.0 - v) * uniform_target()
-
-
-# name -> (target, order of its detected symmetry group).
-SYMMETRIC_TARGETS = {
-    "ejm-line": (line_conditional_target, 48),
-    "chain-ejmz": (lambda: line_conditional_target(basis_by_name("ejmz")), 48),
-    "chain-bsm": (lambda: line_conditional_target(basis_by_name("bsm")), 48),
-    "chain-mp": (lambda: line_conditional_target(basis_by_name("mp")), 8),
-    "noisy-pr-box": (noisy_pr_box, 4),
-    "mixture-6": (lambda: vertex_mixture(np.random.default_rng(6), 6), 1),
-}
-GROUPS = {name: detected_group(target()) for name, (target, _) in SYMMETRIC_TARGETS.items()}
+    # v = 0 in test_group_averaged_targets' draw: a group-averaged vertex mixture is local.
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(SEEDS, st.sampled_from(sorted(set(GROUPS.values()))), st.integers(1, 8))
+    def test_spread_weights_rebuild_group_averaged_targets(self, seed, group, k):
+        p = vertex_mixture(np.random.default_rng(seed), k).ravel()
+        target = p[cell_perms(_PARTY_SWAP)[list(group)]].mean(axis=0).reshape(4, 4, 4, 4)
+        certificate = bell_lp_check(target)
+        event(f"|G| = {len(detected_group(target))}")
+        assert certificate.verdict == LOCAL
+        assert certificate.reconstruction_residual < RECONSTRUCTION_ATOL
+        check = verify_certificate(certificate, target)
+        assert check["reconstruction_residual"] == certificate.reconstruction_residual
+        assert check["weight_sum_residual"] < 1e-12
 
 
 class TestSymmetry:

@@ -7,10 +7,12 @@ taken with; on other versions it is skipped.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 import scipy
+from test_belllp import detected_group, vertex_mixture
 
 from ejmnet.cli import main
 
@@ -51,8 +53,8 @@ GOLDEN = [
         "cf42973d1d17ebeb62f669e0e14d730a8fa72b2eadc006a14464de8eec780928",
     ),
     ("bell-check --target pr-box", "66f055394ea3d6972bc50cd9471205c7f646e3e8021c524586f179ddb9d69fb8"),
-    ("bell-check --target ejm-line", "089c7feb7d84479b430bd520b79ef2f8bc48e4f9665190dab412f12a45bf6991"),
-    ("bell-check --target uniform", "78fb69e503f2ea934508fd91d9734614c46f0c1a0a69afd9d968f778d23ef975"),
+    ("bell-check --target ejm-line", "c04adc29ffbd71851dd220c7430b1d881fa145679c76dc0fd0a4a6826d5d9748"),
+    ("bell-check --target uniform", "8e127f760eebd317d1561074a87fc2c559a69dc3ab45feb8efd0fdd140238d0b"),
     ("search --method exhaustive", "8003cda7c79653096127503953a5e07ea719e72661f287e0224a7d809890b8e1"),
     (
         "search --method exhaustive --optimize-weights",
@@ -86,7 +88,7 @@ GOLDEN = [
         "polygon --n 40 --basis mp --event all-equal",
         "5a7b7e14d6dcb64cf900ec56572dc731e5f9a29a8d0cbc40f36c48865d486508",
     ),
-    ("verify-all", "c5d3f5af6fe5e1ceb6fac99166308d291a30de707dfd78dc1ae38a2abdb16f78"),
+    ("verify-all", "bfe951f92c43ec8ed8b0819ca99b0e01f224b5e105170ba7977cc25fffb80ace"),
     ("verify-all --no-lp", "5240a36174fd4afde867c9600a5a8be051cf8e803495761dc877e53fd05de495"),
     (
         "line --n 8 --basis mp --format csv",
@@ -128,3 +130,15 @@ def test_digests_hold_forwards_then_in_reverse(capsys):
     """What one call leaves cached in the process does not change another's stdout."""
     for command, digest in GOLDEN + GOLDEN[::-1]:
         assert stdout_digest(capsys, command) == digest, command
+
+
+@pinned
+def test_trivial_group_local_digest(capsys, tmp_path, monkeypatch):
+    """A LOCAL verdict under the trivial group, whose weights are the orbit master's own."""
+    target = vertex_mixture(np.random.default_rng(20), 20)
+    assert detected_group(target) == (0,)
+    # A relative path keeps the echoed "file:" name, and so the digest, fixed.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixture.json").write_text(json.dumps(target.tolist()))
+    digest = "0c24b18e7ddb4183fa6fddbc0b3713dd62a11afc48955bae6e43a41d8613a0c5"
+    assert stdout_digest(capsys, "bell-check --target-file mixture.json") == digest
